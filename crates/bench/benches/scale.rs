@@ -5,13 +5,13 @@
 //!
 //! * **stream** — a day of traffic (24 diurnal windows, bursty
 //!   multi-tenant arrivals, Zipf template popularity) costed through the
-//!   what-if path with the benefit matrix off and the cost cache capped
-//!   far below the distinct-query pool. Reports throughput, the
-//!   hit-rate gap between Zipf and uniform popularity at the same
-//!   capacity (skew is what makes a bounded cache work), eviction
+//!   what-if path with the benefit matrix under a byte budget far below
+//!   the stream's cell working set. Reports throughput, the matrix
+//!   entry hit-ratio gap between Zipf and uniform popularity at the same
+//!   budget (skew is what makes a bounded memo work), compaction
 //!   counts, and — the hard contract — that the bounded run returns
 //!   **bit-identical** costs to an unbounded re-run of the same draw
-//!   sequence (eviction is presence-only; it can cost time, never
+//!   sequence (compaction is presence-only; it can cost time, never
 //!   correctness);
 //! * **matrix** — the same pool scored under a sweep of single-index
 //!   configurations with the benefit matrix *on* but under a byte
@@ -63,15 +63,21 @@ struct StreamLeg {
     windows: u64,
     /// Distinct (template, slot) pool size per window.
     distinct_pool_per_window: usize,
-    cache_capacity: usize,
+    /// Matrix byte budget of the bounded runs.
+    matrix_byte_budget: usize,
+    /// Peak matrix footprint of the unbounded re-run: the stream's cell
+    /// working set, which the budget must sit below.
+    working_set_bytes: usize,
     zipf_exponent: f64,
     elapsed_s: f64,
     throughput_qps: f64,
-    hit_rate_zipf: f64,
-    hit_rate_uniform: f64,
-    evictions: u64,
-    /// Cache residency after the bounded run (≤ capacity).
-    entries_resident: usize,
+    /// Matrix entry hits / (hits + misses) over the bounded runs.
+    hit_ratio_zipf: f64,
+    hit_ratio_uniform: f64,
+    /// Rotating shard clears forced by the budget in the bounded Zipf run.
+    compactions: u64,
+    /// Peak tracked footprint of the bounded Zipf run.
+    peak_bytes: usize,
     /// Bounded-vs-unbounded differential: XOR/rotate fold over every
     /// cost's f64 bits, equal iff every cost is bit-identical.
     bounded_bits_identical: bool,
@@ -101,6 +107,7 @@ struct TapeLeg {
 struct BenchArtifact {
     id: String,
     description: String,
+    provenance: pipa_bench::cli::Provenance,
     scale_factor: f64,
     seed: u64,
     smoke: bool,
@@ -119,15 +126,15 @@ fn fold_bits(acc: u64, cost: f64) -> u64 {
 struct StreamRun {
     total: u64,
     fingerprint: u64,
-    hit_rate: f64,
     elapsed_s: f64,
     peak_load: usize,
     trough_load: usize,
+    matrix: pipa_sim::MatrixStats,
 }
 
 /// Drive `windows` windows of `model` traffic through the what-if path
-/// under the database's current cache settings. Pure in
-/// `(model, base, seed)` given identical database cost state.
+/// from a cleared matrix under the database's current byte budget. Pure
+/// in `(model, base, seed)`.
 fn run_stream(
     db: &Database,
     gen: &WorkloadGenerator,
@@ -137,7 +144,7 @@ fn run_stream(
     base: usize,
     seed: u64,
 ) -> StreamRun {
-    db.clear_whatif_cache();
+    db.clear_whatif_matrix();
     let start = Instant::now();
     let mut total = 0u64;
     let mut fingerprint = 0u64;
@@ -157,15 +164,13 @@ fn run_stream(
         }
         total += load as u64;
     }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let stats = db.whatif_cache_stats();
     StreamRun {
         total,
         fingerprint,
-        hit_rate: stats.hit_rate(),
-        elapsed_s,
+        elapsed_s: start.elapsed().as_secs_f64(),
         peak_load,
         trough_load,
+        matrix: db.whatif_matrix_stats(),
     }
 }
 
@@ -173,10 +178,10 @@ fn main() {
     let bench = pipa_bench::cli::BenchArgs::for_bench("scale");
     let smoke = bench.smoke;
     let scale_factor = 100.0;
-    let (windows, base, slots, capacity) = if smoke {
-        (4u64, 1_500usize, 8usize, 64usize)
+    let (windows, base, slots, stream_budget) = if smoke {
+        (4u64, 1_500usize, 8usize, 8 * 1024usize)
     } else {
-        (24u64, 70_000usize, 64usize, 512usize)
+        (24u64, 70_000usize, 64usize, 64 * 1024usize)
     };
 
     eprintln!("[scale] synthesizing SF-{scale_factor} statistics (no rows materialized)...");
@@ -205,65 +210,62 @@ fn main() {
     );
 
     // --- stream leg: bounded Zipf vs uniform, then unbounded replay ---
-    db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_capacity(capacity);
+    db.set_whatif_matrix_byte_budget(stream_budget);
     eprintln!(
-        "[scale] streaming {windows} windows (Zipf, cache capped at {capacity} of {} distinct)...",
+        "[scale] streaming {windows} windows (Zipf, matrix capped at {} KiB, {} distinct per window)...",
+        stream_budget / 1024,
         pool0.distinct_queries()
     );
     let bounded = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED);
-    let stats = db.whatif_cache_stats();
-    let evictions = stats.evictions;
-    let entries_resident = stats.entries;
-    assert!(
-        entries_resident <= capacity,
-        "cache over capacity: {entries_resident} > {capacity}"
-    );
 
     let uniform_model = business_day(TrafficModel::uniform(slots));
-    eprintln!("[scale] streaming uniform baseline at the same capacity...");
+    eprintln!("[scale] streaming uniform baseline at the same budget...");
     let uniform = run_stream(db, &gen, &cfg, &uniform_model, windows, base, SEED);
 
     eprintln!("[scale] unbounded re-run for the bit-identity differential...");
-    db.set_whatif_cache_capacity(usize::MAX);
+    db.set_whatif_matrix_byte_budget(usize::MAX);
     let unbounded = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED);
     assert_eq!(bounded.total, unbounded.total);
     let bounded_bits_identical = bounded.fingerprint == unbounded.fingerprint;
     assert!(
         bounded_bits_identical,
-        "bounded cache changed a cost bit: {:#x} vs {:#x}",
+        "bounded matrix changed a cost bit: {:#x} vs {:#x}",
         bounded.fingerprint, unbounded.fingerprint
+    );
+    let working_set_bytes = unbounded.matrix.peak_bytes;
+    assert!(
+        stream_budget < working_set_bytes,
+        "budget {stream_budget} B must sit below the {working_set_bytes} B working set"
     );
 
     let stream = StreamLeg {
         queries: bounded.total,
         windows,
         distinct_pool_per_window: pool0.distinct_queries(),
-        cache_capacity: capacity,
+        matrix_byte_budget: stream_budget,
+        working_set_bytes,
         zipf_exponent: 1.1,
         elapsed_s: bounded.elapsed_s,
         throughput_qps: bounded.total as f64 / bounded.elapsed_s.max(1e-9),
-        hit_rate_zipf: bounded.hit_rate,
-        hit_rate_uniform: uniform.hit_rate,
-        evictions,
-        entries_resident,
+        hit_ratio_zipf: bounded.matrix.entry_hit_ratio(),
+        hit_ratio_uniform: uniform.matrix.entry_hit_ratio(),
+        compactions: bounded.matrix.compactions,
+        peak_bytes: bounded.matrix.peak_bytes,
         bounded_bits_identical,
         peak_window_load: bounded.peak_load,
         trough_window_load: bounded.trough_load,
     };
     eprintln!(
-        "[scale] {} queries in {:.2}s ({:.0} q/s); hit rate zipf {:.3} vs uniform {:.3}; {} evictions",
+        "[scale] {} queries in {:.2}s ({:.0} q/s); matrix hit ratio zipf {:.3} vs uniform {:.3}; {} compactions",
         stream.queries,
         stream.elapsed_s,
         stream.throughput_qps,
-        stream.hit_rate_zipf,
-        stream.hit_rate_uniform,
-        stream.evictions
+        stream.hit_ratio_zipf,
+        stream.hit_ratio_uniform,
+        stream.compactions
     );
 
     // --- matrix leg: byte-budgeted benefit matrix under a config sweep
-    db.set_whatif_cache_capacity(usize::MAX);
-    db.set_whatif_matrix_enabled(true);
     db.clear_whatif_matrix();
     let byte_budget = if smoke { 16 * 1024 } else { 64 * 1024 };
     db.set_whatif_matrix_byte_budget(byte_budget);
@@ -369,11 +371,12 @@ fn main() {
 
     let artifact = BenchArtifact {
         id: "BENCH_scale".to_string(),
-        description: "≥1M-query Zipf/diurnal stream at SF 100 under a capacity-bounded \
-                      what-if cache (bit-identical to unbounded), byte-budgeted benefit \
-                      matrix, streamed cost tape with size guard, and hot-vs-cold \
-                      poisoning economics"
+        description: "≥1M-query Zipf/diurnal stream at SF 100 through a byte-budgeted \
+                      benefit matrix (bit-identical to unbounded), a budgeted config sweep, \
+                      streamed cost tape with size guard, and hot-vs-cold poisoning \
+                      economics"
             .to_string(),
+        provenance: pipa_bench::cli::provenance(cell.preset),
         scale_factor,
         seed: SEED,
         smoke,

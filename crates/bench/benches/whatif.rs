@@ -1,8 +1,8 @@
 //! Advisor-hot-path what-if throughput: the benefit matrix versus the
 //! scalar full recompute it replaced.
 //!
-//! Cells (each measured cold — matrix and cost cache cleared inside
-//! every iteration, so no state survives from the previous sample):
+//! Cells (each measured cold — the matrix is cleared inside every
+//! iteration, so no state survives from the previous sample):
 //!
 //! * `whatif/greedy_single_*` — AutoAdmin greedy candidate scoring over
 //!   a single-table workload: the shape of PIPA's probing and injection
@@ -22,8 +22,8 @@
 //!
 //! The `_scalar` variants disable the matrix (`set_whatif_matrix_enabled
 //! (false)`), routing every evaluation through the full analytical
-//! model; `_matrix` variants answer decomposable queries from the
-//! per-(query, index) benefit matrix. The differential suite
+//! model, uncached; `_matrix` variants answer decomposable queries from
+//! the per-(query, index) benefit matrix. The differential suite
 //! (`tests/whatif_differential.rs`) proves both return bit-identical
 //! costs, so this is a pure speed comparison.
 //!
@@ -35,9 +35,7 @@
 
 use criterion::Criterion;
 use pipa_cost::CostBackend;
-use pipa_ia::{
-    build_advisor, AdvisorKind, AutoAdminGreedy, IndexAdvisor, SpeedPreset, TrajectoryMode,
-};
+use pipa_ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa_sim::{Aggregate, ColumnId, Database, Index, IndexConfig, Predicate, QueryBuilder, Workload};
 use pipa_workload::{Benchmark, WorkloadGenerator};
 use rand::{Rng, SeedableRng};
@@ -85,6 +83,7 @@ struct JoinMixCell {
 struct BenchArtifact {
     id: String,
     description: String,
+    provenance: pipa_bench::cli::Provenance,
     single_workload_queries: usize,
     mixed_workload_queries: usize,
     greedy_budget: usize,
@@ -197,7 +196,6 @@ fn main() {
         c.bench_function(name, |b| {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
-                cost.database().clear_whatif_cache();
                 let mut adv = AutoAdminGreedy::new(budget);
                 black_box(adv.recommend(&cost, w).expect("greedy recommend"))
             })
@@ -235,12 +233,8 @@ fn main() {
         c.bench_function(name, |b| {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
-                cost.database().clear_whatif_cache();
-                let mut adv = build_advisor(
-                    AdvisorKind::Dqn(TrajectoryMode::Best),
-                    SpeedPreset::Test,
-                    7,
-                );
+                let mut adv = AdvisorKind::Dqn(TrajectoryMode::Best)
+                    .build_with(BuildCtx::new(SpeedPreset::Test, 7));
                 adv.train(&cost, &single).expect("train");
                 black_box(adv.budget())
             })
@@ -251,11 +245,10 @@ fn main() {
     cost.database().set_whatif_matrix_enabled(true);
 
     // --- trait-dispatch overhead: identical scalar work, direct call vs
-    // `&dyn CostBackend` virtual call. Cache and matrix stay off so each
+    // `&dyn CostBackend` virtual call. The matrix stays off so each
     // evaluation pays the full analytical model — the object-safe seam
     // must disappear into that work.
     cost.database().set_whatif_matrix_enabled(false);
-    cost.database().set_whatif_cache_enabled(false);
     let dispatch_cfgs: Vec<IndexConfig> = single
         .candidate_columns()
         .into_iter()
@@ -282,7 +275,6 @@ fn main() {
         })
     });
     cost.database().set_whatif_matrix_enabled(true);
-    cost.database().set_whatif_cache_enabled(true);
 
     let lines = bench.lines();
     let med = |id: &str| pipa_bench::cli::median_of(&lines, id);
@@ -355,6 +347,7 @@ fn main() {
                       templates answered via join-aware decomposition, join_mix = win \
                       vs join fraction)"
             .to_string(),
+        provenance: pipa_bench::cli::provenance(SpeedPreset::Test),
         single_workload_queries: single.len(),
         mixed_workload_queries: mixed.len(),
         greedy_budget: budget,

@@ -150,18 +150,18 @@ impl ExpArgs {
         CellSeed::derive(self.seed, run)
     }
 
-    /// Finish an instrumented run: report process-global what-if cache
-    /// statistics to the metrics channel (they are scheduling-dependent
-    /// under `--jobs > 1`, so they never go to the trace channel) and
-    /// flush both sinks.
+    /// Finish an instrumented run: report the process-global benefit
+    /// matrix's cell hit/miss counts to the metrics channel (they are
+    /// scheduling-dependent under `--jobs > 1`, so they never go to the
+    /// trace channel) and flush both sinks.
     pub fn finish_trace(&self, out: &TraceOutputs, cost: &pipa_cost::SimBackend) {
         if out.active() {
-            let stats = cost.database().whatif_cache_stats();
+            let stats = cost.database().whatif_matrix_stats();
             out.global_metric(
-                pipa_obs::Event::new("whatif_cache")
-                    .field("hits", stats.hits)
-                    .field("misses", stats.misses)
-                    .field("hit_rate", stats.hit_rate()),
+                pipa_obs::Event::new("whatif_matrix")
+                    .field("entry_hits", stats.entry_hits)
+                    .field("entry_misses", stats.entry_misses)
+                    .field("hit_ratio", stats.entry_hit_ratio()),
             );
         }
         out.flush();
@@ -289,10 +289,82 @@ pub fn median_of(lines: &str, id: &str) -> Option<f64> {
     rest.split([',', '}']).next()?.trim().parse().ok()
 }
 
+/// Where and how a `results/BENCH_*.json` artifact was measured.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct Provenance {
+    /// `git rev-parse HEAD` of the measured tree, suffixed `-dirty` when
+    /// tracked files differ from it (`unknown` outside a git checkout).
+    pub commit: String,
+    /// Cores available to the process.
+    pub cores: usize,
+    /// Advisor speed preset the bench ran its advisors at.
+    pub preset: String,
+    /// UTC date of the measurement, `YYYY-MM-DD`.
+    pub date: String,
+}
+
+/// Provenance of an artifact measured now, in this checkout.
+pub fn provenance(preset: SpeedPreset) -> Provenance {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(env!("CARGO_MANIFEST_DIR"))
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let commit = match git(&["rev-parse", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => format!("{head}-dirty"),
+        },
+        None => "unknown".to_string(),
+    };
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    Provenance {
+        commit,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        preset: format!("{preset:?}"),
+        date: utc_date(secs),
+    }
+}
+
+/// `YYYY-MM-DD` of a Unix timestamp (proleptic Gregorian, UTC), by the
+/// days-to-civil conversion from Howard Hinnant's date algorithms.
+fn utc_date(unix_secs: u64) -> String {
+    let z = (unix_secs / 86_400) as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
 /// `a / b`, defined only when both exist and `b > 0` (speedup ratios).
 pub fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     match (a, b) {
         (Some(x), Some(y)) if y > 0.0 => Some(x / y),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn utc_date_handles_epoch_and_leap_days() {
+        assert_eq!(utc_date(0), "1970-01-01");
+        assert_eq!(utc_date(951_782_400), "2000-02-29");
+        assert_eq!(utc_date(1_709_251_199), "2024-02-29");
+        assert_eq!(utc_date(1_709_251_200), "2024-03-01");
     }
 }

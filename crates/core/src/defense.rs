@@ -156,7 +156,7 @@ pub fn stress_with_canary(
 mod tests {
     use super::*;
     use crate::experiment::{build_db, make_injector, normal_workload, CellConfig, InjectorKind};
-    use pipa_ia::{build_clear_box, AdvisorKind, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_workload::Benchmark;
 
     fn cfg() -> CellConfig {
@@ -172,11 +172,8 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 51);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            51,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 51));
         let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(51));
         let (ad, _) = stress_with_canary(
             advisor.as_mut(),
@@ -197,11 +194,8 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 53);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            53,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 53));
         advisor.train(&cost, &normal).unwrap();
         let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(53));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 53).unwrap();
@@ -228,11 +222,8 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 57);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            57,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 57));
         advisor.train(&cost, &normal).unwrap();
         let mut injector = make_injector(InjectorKind::Tp, &cfg, crate::runner::CellSeed::raw(57));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 57).unwrap();

@@ -249,7 +249,7 @@ impl Injector for TargetedInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_ia::{build_clear_box, AdvisorKind, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_qgen::StGenerator;
     use pipa_workload::Benchmark;
 
@@ -260,11 +260,8 @@ mod tests {
             Benchmark::TpcH.default_templates(),
         );
         let w = g.normal(&mut ChaCha8Rng::seed_from_u64(1)).unwrap();
-        let mut ia = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            1,
-        );
+        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1));
         ia.train(&cost, &w).unwrap();
         (cost, w, ia)
     }

@@ -8,11 +8,11 @@
 //! Since the registry migration, *the* constructor is
 //! [`crate::registry::AdvisorSpec::build`]: every kind id (built-in or
 //! user-registered) resolves through the
-//! [`crate::registry::TargetRegistry`]. The [`AdvisorKind`] methods and
-//! the free functions here are thin aliases over that seam, kept so the
-//! paper-experiment call sites stay enum-typed.
+//! [`crate::registry::TargetRegistry`]. [`AdvisorKind::build_with`] is a
+//! thin alias over that seam, kept so the paper-experiment call sites
+//! stay enum-typed.
 
-use crate::advisor::{AdvisorKind, ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
+use crate::advisor::{AdvisorKind, ClearBoxAdvisor, TrajectoryMode};
 use crate::bandit::BanditConfig;
 use crate::dqn::DqnConfig;
 use crate::drlindex::DrlIndexConfig;
@@ -132,38 +132,15 @@ impl AdvisorKind {
     }
 }
 
-/// Erase the clear-box surface: `Box<dyn ClearBoxAdvisor>` does not
-/// unsize to `Box<dyn IndexAdvisor>`, but the blanket
-/// [`IndexAdvisor for Box<dyn ClearBoxAdvisor>`](IndexAdvisor) impl
-/// makes the boxed box itself an advisor, so the coercion is one
-/// allocation and zero hand-forwarded methods (the `OpaqueOnly` adapter
-/// this replaces forwarded every trait method by hand).
-pub fn opaque(advisor: Box<dyn ClearBoxAdvisor>) -> Box<dyn IndexAdvisor> {
-    Box::new(advisor)
-}
-
-/// Build an advisor by kind (opaque-box surface only).
-pub fn build_advisor(kind: AdvisorKind, preset: SpeedPreset, seed: u64) -> Box<dyn IndexAdvisor> {
-    opaque(kind.build_with(BuildCtx::new(preset, seed)))
-}
-
-/// Build an advisor with clear-box introspection (for the P-C baseline).
-pub fn build_clear_box(
-    kind: AdvisorKind,
-    preset: SpeedPreset,
-    seed: u64,
-) -> Box<dyn ClearBoxAdvisor> {
-    kind.build_with(BuildCtx::new(preset, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::IndexAdvisor;
 
     #[test]
     fn every_kind_constructs() {
         for kind in AdvisorKind::all() {
-            let ia = build_advisor(kind, SpeedPreset::Test, 1);
+            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
             assert_eq!(ia.name(), kind.label());
             assert_eq!(ia.budget(), 4);
         }
@@ -188,7 +165,7 @@ mod tests {
         let clear = AdvisorKind::Swirl.build_with(BuildCtx::new(SpeedPreset::Test, 1));
         let name = clear.name();
         let budget = clear.budget();
-        let ia = opaque(clear);
+        let ia: Box<dyn IndexAdvisor> = Box::new(clear);
         assert_eq!(ia.name(), name);
         assert_eq!(ia.budget(), budget);
         assert!(!ia.is_trial_based());
@@ -207,7 +184,7 @@ mod tests {
     #[test]
     fn trial_basedness_matches_paper() {
         for kind in AdvisorKind::all() {
-            let ia = build_advisor(kind, SpeedPreset::Test, 1);
+            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
             let expect = kind != AdvisorKind::Swirl;
             assert_eq!(ia.is_trial_based(), expect, "{}", ia.name());
         }

@@ -173,11 +173,12 @@ mod tests {
     fn learned_advisor_reward_trace_reaches_the_trace_channel() {
         let (cost, w) = setup();
         let ((), trace) = record_cell(true, CellCtx::new(2), || {
-            let mut ia = crate::factory::build_clear_box(
-                crate::advisor::AdvisorKind::DbaBandit(crate::advisor::TrajectoryMode::Best),
-                crate::factory::SpeedPreset::Test,
-                7,
-            );
+            let mut ia =
+                crate::advisor::AdvisorKind::DbaBandit(crate::advisor::TrajectoryMode::Best)
+                    .build_with(crate::factory::BuildCtx::new(
+                        crate::factory::SpeedPreset::Test,
+                        7,
+                    ));
             ia.train(&cost, &w).unwrap();
         });
         let reward_lines: Vec<&String> = trace

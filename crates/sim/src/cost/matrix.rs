@@ -3,9 +3,9 @@
 //! Every advisor action loop evaluates thousands of index configurations
 //! that differ by a single index. Full re-costing treats each
 //! configuration as opaque, paying `O(|W| · |I|)` model work per
-//! evaluation; the per-(query, config) [`super::CostCache`] removes exact
-//! repeats but still stores the combinatorial `(query, config)` space.
-//! This module exploits the cost model's structure instead:
+//! evaluation, and memoizing whole `(query, config)` answers would store
+//! the combinatorial config space. This module exploits the cost
+//! model's structure instead, and is the only what-if memo layer:
 //!
 //! * For a **single-table query** the model's plan is
 //!   `surcharges(min(seq_scan, index_scan(i) for i in config))` where the
@@ -26,8 +26,8 @@
 //!   re-costs only the step whose table the index touches.
 //! * Only **genuinely non-decomposable** shapes — a table scanned twice
 //!   in one query (raw self-join), where `(query, index)` cell keys
-//!   would collide across steps — take the full-model fallback,
-//!   memoized by the [`super::CostCache`].
+//!   would collide across steps — take the uncached full-model
+//!   fallback.
 //!
 //! Equality contract: matrix answers are **bit-identical** to the scalar
 //! model. Both paths call the same crate-internal `table_access` /
@@ -38,11 +38,16 @@
 //! scalar path's `continue`. `tests/whatif_differential.rs` pins this
 //! with proptest-generated workloads and edit sequences.
 //!
-//! Concurrency mirrors [`super::CostCache`]: sharded `RwLock` maps,
-//! misses compute outside locks, racy inserts are idempotent because the
-//! model is pure.
+//! Memory: [`BenefitMatrix::set_byte_budget`] bounds the resident cell
+//! footprint; over-budget inserts clear whole shards in rotation and
+//! cleared cells recompute bit-identically on the next touch, so every
+//! budget (including 0) returns the unbounded matrix's cost bits
+//! (`tests/scale_properties.rs` pins this).
+//!
+//! Concurrency: sharded `RwLock` maps, misses compute outside locks,
+//! racy inserts are idempotent because the model is pure.
 
-use super::cache::{fingerprint_index, Fingerprint};
+use super::fingerprint::{fingerprint_index, Fingerprint};
 use super::model::{AnalyticalCostModel, JoinPlan, JoinStep, JoinStepState, TableAccess};
 use super::Catalog;
 use crate::index::{Index, IndexConfig};
@@ -52,7 +57,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Shard count (power of two, same rationale as the cost cache).
+/// Number of independently locked shards. A power of two so the shard
+/// pick is a mask; 16 keeps contention negligible at the thread counts
+/// the experiment runner uses without bloating an idle `Database`.
 const SHARDS: usize = 16;
 
 /// Approximate resident footprint of one matrix cell: the 32-byte
@@ -171,6 +178,17 @@ impl MatrixStats {
             (self.matrix_evals + self.join_evals) as f64 / total as f64
         }
     }
+
+    /// Cell lookups answered from resident cells, as a fraction of all
+    /// cell lookups (0 when nothing was looked up).
+    pub fn entry_hit_ratio(&self) -> f64 {
+        let total = self.entry_hits + self.entry_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.entry_hits as f64 / total as f64
+        }
+    }
 }
 
 /// A single-index edit against a base configuration, for
@@ -284,8 +302,7 @@ impl IncrementalEval {
 }
 
 /// The per-(query, index) benefit matrix with shape classification and
-/// counters. Owned by [`crate::db::Database`] next to its
-/// [`super::CostCache`].
+/// counters. Owned by [`crate::db::Database`].
 pub struct BenefitMatrix {
     /// Query fingerprint → shape (lazily classified).
     shapes: RwLock<HashMap<Fingerprint, QueryShape>>,
@@ -545,6 +562,11 @@ impl BenefitMatrix {
         index: &Index,
         acc: &mut Option<TableAccess<'q>>,
     ) -> f64 {
+        // An index on another table never applies (`index_access_cost`
+        // answers `None`): `+∞` without a lookup or a resident cell.
+        if index.table(cat.schema) != key.table {
+            return f64::INFINITY;
+        }
         let cell_key = (key.qf, idxf);
         let shard = &self.entries[(key.qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize
             & (SHARDS - 1)];
@@ -822,7 +844,7 @@ pub(crate) fn keyed_indexes(cfg: &IndexConfig) -> Vec<(Fingerprint, &Index)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::cache::fingerprint_query;
+    use crate::cost::fingerprint::fingerprint_query;
     use crate::cost::{CostModel, PAGE_SIZE};
     use crate::predicate::Predicate;
     use crate::query::QueryBuilder;

@@ -6,11 +6,10 @@
 //! [`WhatIf`] helpers, exactly as the paper's components only issue
 //! `c(W, d, I)` requests to PostgreSQL's hypothetical-index extension.
 
-pub mod cache;
+pub mod fingerprint;
 pub mod matrix;
 pub(crate) mod model;
 
-pub use cache::{CacheStats, CostCache};
 pub use matrix::{BenefitMatrix, ConfigDelta, IncrementalEval, MatrixStats};
 pub use model::AnalyticalCostModel;
 

@@ -2,12 +2,14 @@
 //! data, exposing exactly the interface the paper assumes of the DBMS:
 //! estimated costs via hypothetical indexes, and actual execution costs.
 
-use crate::cost::cache::{fingerprint_config, fingerprint_index, fingerprint_query, Fingerprint};
+use crate::cost::fingerprint::{
+    fingerprint_config, fingerprint_index, fingerprint_query, Fingerprint,
+};
 use crate::cost::matrix::{keyed_indexes, EvalState, QueryKey, QueryShape, QueryState};
 use crate::cost::model::JoinStepState;
 use crate::cost::{
-    AnalyticalCostModel, BenefitMatrix, CacheStats, Catalog, ConfigDelta, CostCache, CostModel,
-    IncrementalEval, MatrixStats, PAGE_SIZE,
+    AnalyticalCostModel, BenefitMatrix, Catalog, ConfigDelta, CostModel, IncrementalEval,
+    MatrixStats, PAGE_SIZE,
 };
 use crate::datagen::generate_table;
 use crate::error::{SimError, SimResult};
@@ -19,7 +21,21 @@ use crate::stats::{ColumnStats, TableStats};
 use crate::storage::{PhysicalIndex, Storage};
 use crate::workload::Workload;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Full-model evaluation count, as returned by
+/// [`Database::whatif_cache_stats`]. The benefit matrix is the only
+/// what-if memo layer, so nothing here is ever a hit; the struct keeps
+/// the shape the benchmark harness reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0: no what-if cost is memoized outside the benefit matrix.
+    pub hits: u64,
+    /// Full analytical-model evaluations (the scalar oracle, the
+    /// matrix-off path and `JoinCoupled` fallbacks).
+    pub misses: u64,
+}
 
 /// A simulated database instance.
 pub struct Database {
@@ -30,10 +46,11 @@ pub struct Database {
     storage: Option<Storage>,
     /// Physical indexes are config-independent; cache them per definition.
     phys_cache: Mutex<HashMap<Index, PhysicalIndex>>,
-    /// Memoized what-if costs; the model is pure so entries never go stale.
-    whatif_cache: CostCache,
+    /// Full-model evaluations since construction or the last
+    /// [`Database::clear_whatif_cache`].
+    full_evals: AtomicU64,
     /// Per-(query, index) benefit matrix for incremental what-if
-    /// evaluation; join-coupled queries fall back to `whatif_cache`.
+    /// evaluation; join-coupled queries fall back to the full model.
     whatif_matrix: BenefitMatrix,
     scale: f64,
 }
@@ -96,10 +113,10 @@ impl Database {
     /// tables from the decomposed join plan (per-step access and
     /// nested-loop cells over the config-independent skeleton), and only
     /// genuinely non-decomposable shapes — a table scanned twice — fall
-    /// back to the full analytical model memoized by the thread-safe
-    /// [`CostCache`] (as do all calls with the matrix disabled). Every
-    /// path is bit-identical (pinned by `tests/whatif_differential.rs`),
-    /// so the dispatch choice never changes results.
+    /// back to the full analytical model (as do all calls with the
+    /// matrix disabled). Every path is bit-identical (pinned by
+    /// `tests/whatif_differential.rs`), so the dispatch choice never
+    /// changes results.
     pub fn estimated_query_cost(&self, q: &Query, cfg: &IndexConfig) -> f64 {
         if !self.whatif_matrix.is_enabled() {
             return self.scalar_query_cost(q, cfg);
@@ -120,61 +137,46 @@ impl Database {
             .sum()
     }
 
-    /// The pre-matrix scalar path: full analytical model, memoized by the
-    /// what-if cache. This is the reference implementation the benefit
-    /// matrix must stay bit-identical to; it is public (but hidden) so
-    /// the differential test suite can compare against it directly.
+    /// The uncached full-model path: every call walks the analytical
+    /// model from scratch. The matrix-off path and `JoinCoupled`
+    /// fallbacks run it too. This is the reference implementation the
+    /// benefit matrix must stay bit-identical to; it is public (but
+    /// hidden) so the differential test suites can compare against it
+    /// directly, whatever the matrix setting.
     #[doc(hidden)]
     pub fn scalar_query_cost(&self, q: &Query, cfg: &IndexConfig) -> f64 {
-        let cf = fingerprint_config(cfg);
-        let qf = fingerprint_query(q);
-        record_whatif(qf, cf);
-        self.whatif_cache.get_or_compute(qf, cf, || {
-            self.model.query_cost(self.catalog(), q, cfg)
-        })
+        if pipa_obs::is_recording() {
+            record_whatif(fingerprint_query(q), fingerprint_config(cfg));
+        }
+        self.full_evals.fetch_add(1, Ordering::Relaxed);
+        self.model.query_cost(self.catalog(), q, cfg)
     }
 
-    /// Scalar-path workload cost (frequency-weighted sum of memoized
-    /// per-query [`Self::scalar_query_cost`] terms). See
-    /// [`Self::scalar_query_cost`] for why this stays public.
+    /// Full-model workload cost (frequency-weighted sum of
+    /// [`Self::scalar_query_cost`] terms). See [`Self::scalar_query_cost`]
+    /// for why this stays public.
     #[doc(hidden)]
     pub fn scalar_workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> f64 {
-        let cf = fingerprint_config(cfg);
         w.iter()
-            .map(|wq| {
-                let qf = fingerprint_query(&wq.query);
-                record_whatif(qf, cf);
-                wq.frequency as f64
-                    * self.whatif_cache.get_or_compute(qf, cf, || {
-                        self.model.query_cost(self.catalog(), &wq.query, cfg)
-                    })
-            })
+            .map(|wq| wq.frequency as f64 * self.scalar_query_cost(&wq.query, cfg))
             .sum()
     }
 
-    /// Hit/miss counters of the what-if cost cache.
+    /// Full-model evaluation counter (`hits` is always 0, `misses`
+    /// counts [`Self::scalar_query_cost`] evaluations). Kept because the
+    /// benchmark harness reads it to show the what-if path stays on the
+    /// matrix.
     pub fn whatif_cache_stats(&self) -> CacheStats {
-        self.whatif_cache.stats()
+        CacheStats {
+            hits: 0,
+            misses: self.full_evals.load(Ordering::Relaxed),
+        }
     }
 
-    /// Enable or disable what-if memoization (benchmarks use this to
-    /// measure the uncached path; results are identical either way).
-    pub fn set_whatif_cache_enabled(&self, on: bool) {
-        self.whatif_cache.set_enabled(on);
-    }
-
-    /// Bound the what-if cache's residency to `capacity` entries
-    /// (`usize::MAX` = unbounded, the default; `0` = store nothing).
-    /// Eviction is CLOCK/second-chance per shard and affects presence
-    /// only — the cost model is pure, so any capacity returns costs
-    /// bit-identical to the unbounded cache.
-    pub fn set_whatif_cache_capacity(&self, capacity: usize) {
-        self.whatif_cache.set_capacity(capacity);
-    }
-
-    /// Drop all memoized what-if costs and zero the counters.
+    /// Zero the full-model evaluation counter. Kept because the
+    /// benchmark harness resets it before every measured pass.
     pub fn clear_whatif_cache(&self) {
-        self.whatif_cache.clear();
+        self.full_evals.store(0, Ordering::Relaxed);
     }
 
     // ---- Incremental what-if evaluation (the benefit matrix) ----------
@@ -282,7 +284,7 @@ impl Database {
     /// Total workload cost of `session config + idx` without committing:
     /// one matrix-cell probe per decomposable query. `cfg_after` must be
     /// the session's configuration with `idx` added (join-coupled entries
-    /// re-cost against it in full, through the what-if cache).
+    /// re-cost against it through the full model).
     pub fn whatif_eval_preview_add(
         &self,
         w: &Workload,
@@ -639,19 +641,19 @@ impl DatabaseBuilder {
             model: AnalyticalCostModel::new(),
             storage,
             phys_cache: Mutex::new(HashMap::new()),
-            whatif_cache: CostCache::new(),
+            full_evals: AtomicU64::new(0),
             whatif_matrix: BenefitMatrix::new(),
             scale: self.scale,
         }
     }
 }
 
-/// Observability taps for one what-if lookup. The raw lookup count plus
-/// the number of *distinct* `(query, config)` pairs give each recorded
-/// cell its own memoizable-repeat-rate, independent of which thread
-/// happened to warm the process-global [`CostCache`] first — so the
-/// deterministic trace channel never sees scheduling effects.
-fn record_whatif(qf: crate::cost::cache::Fingerprint, cf: crate::cost::cache::Fingerprint) {
+/// Observability taps for one full-model what-if lookup. The raw lookup
+/// count plus the number of *distinct* `(query, config)` pairs give each
+/// recorded cell its own memoizable-repeat-rate, a pure function of the
+/// cell's own calls — so the deterministic trace channel never sees
+/// scheduling effects.
+fn record_whatif(qf: Fingerprint, cf: Fingerprint) {
     pipa_obs::count("whatif_lookups", 1);
     pipa_obs::count_unique("whatif_distinct", qf.to_u128() ^ cf.to_u128().rotate_left(64));
 }

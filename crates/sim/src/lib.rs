@@ -39,10 +39,10 @@ pub mod value;
 pub mod workload;
 
 pub use cost::{
-    AnalyticalCostModel, BenefitMatrix, CacheStats, ConfigDelta, CostCache, CostModel, CostParams,
-    IncrementalEval, MatrixStats, WhatIf,
+    AnalyticalCostModel, BenefitMatrix, ConfigDelta, CostModel, CostParams, IncrementalEval,
+    MatrixStats, WhatIf,
 };
-pub use db::{Database, DatabaseBuilder};
+pub use db::{CacheStats, Database, DatabaseBuilder};
 pub use error::{SimError, SimResult};
 pub use index::{Index, IndexConfig};
 pub use predicate::{PredOp, Predicate};

@@ -7,7 +7,8 @@
 # Gates target the pipa packages, not the vendored shims: the vendored
 # crates keep upstream names, so their own test harnesses (e.g. serde's
 # derive-macro self-tests) assume the real crates-io source layout and
-# do not compile standalone.
+# do not compile standalone. The workspace's default-members are exactly
+# these packages, so plain `cargo test` covers them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +18,7 @@ echo "== cargo build --release =="
 cargo build --release "${PKGS[@]}"
 
 echo "== cargo test -q =="
-cargo test -q "${PKGS[@]}"
+cargo test -q
 
 echo "== cost-backend boundary lint =="
 # Advisors and the attack pipeline must route every cost through the
@@ -87,9 +88,10 @@ cargo test -q -p pipa --test stream_differential
 cargo test -q -p pipa --test defense_properties
 
 echo "== scale property suite =="
-# Skewed-traffic hardening: ANY cache capacity (incl. 0 and 1) is
-# f64-bit-identical to unbounded, traffic pools/samples are pure in
-# their seed, and window sampling is byte-identical across --jobs.
+# Skewed-traffic hardening: ANY benefit-matrix byte budget (incl. 0 and
+# one cell) is f64-bit-identical to unbounded, per query and through an
+# incremental session; traffic pools/samples are pure in their seed, and
+# window sampling is byte-identical across --jobs.
 cargo test -q -p pipa --test scale_properties
 
 echo "== results artifact schema =="
@@ -127,16 +129,19 @@ WHATIF_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench whatif >/dev/null
 
 echo "== scale bench smoke =="
 # Shrunk Zipf/diurnal stream through the scale bench harness: asserts
-# the bounded cache's bit-identity against the unbounded replay, the
-# matrix byte budget, the tape round trip + size guard, and the
-# hot>=cold economics ordering; smoke mode skips the committed artifact.
+# the byte-budgeted matrix's bit-identity against the unbounded replay
+# (budget below the stream's working set), the config-sweep budget, the
+# tape round trip + size guard, and the hot>=cold economics ordering;
+# smoke mode skips the committed artifact.
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
 echo "== doc-link lint =="
 # Prose docs must not reference cost entry points that no longer exist:
 # the PR-5/PR-6 unification removed the matrix_* pair (dispatch is
-# internal to estimated_*) and JoinCoupled no longer covers plain joins.
-if grep -rnE 'matrix_query_cost|matrix_workload_cost' \
+# internal to estimated_*) and JoinCoupled no longer covers plain joins;
+# the per-(query, config) what-if cost cache and its enable/capacity
+# knobs are gone (the benefit matrix is the only what-if memo layer).
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale cost entry-point references found above" >&2
     exit 1

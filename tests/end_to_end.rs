@@ -6,9 +6,7 @@ use pipa::core::harness::StressTest;
 use pipa::core::injectors::TpInjector;
 use pipa::core::metrics::absolute_degradation;
 use pipa::core::CellSeed;
-use pipa::ia::{
-    build_clear_box, AdvisorKind, AutoAdminGreedy, IndexAdvisor, SpeedPreset, TrajectoryMode,
-};
+use pipa::ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa::workload::Benchmark;
 
 fn test_cfg() -> CellConfig {
@@ -108,11 +106,8 @@ fn injection_workloads_are_extraneous() {
     let cfg = test_cfg();
     let db = build_db(&cfg);
     let normal = normal_workload(&cfg, 17);
-    let mut advisor = build_clear_box(
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        SpeedPreset::Test,
-        17,
-    );
+    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+        .build_with(BuildCtx::new(SpeedPreset::Test, 17));
     advisor.train(&db, &normal).expect("train");
     for kind in InjectorKind::all() {
         let mut injector = pipa::core::experiment::make_injector(kind, &cfg, CellSeed::raw(17));

@@ -365,14 +365,15 @@ fn bench_stream_artifact_meets_the_arms_race_floors() {
 #[test]
 fn bench_scale_artifact_meets_the_skewed_traffic_floors() {
     // The skewed-traffic PR: the committed artifact must show a >= 1M
-    // query Zipf/diurnal stream at SF 100 under a capacity-bounded
-    // what-if cache that (a) actually evicted, (b) beat the uniform
-    // baseline's hit rate (skew is the premise), and (c) returned
-    // bit-identical costs to the unbounded re-run; the byte-budgeted
-    // matrix must have compacted while staying at its budget (one-cell
-    // overshoot allowed per shard); the streamed tape and its size
-    // guard must both have fired; and hot-aligned traffic must price
-    // the attack at least as high as cold-aligned (exchange argument).
+    // query Zipf/diurnal stream at SF 100 through a benefit matrix
+    // byte-budgeted below the stream's working set that (a) actually
+    // compacted, (b) beat the uniform baseline's entry hit ratio (skew
+    // is the premise), and (c) returned bit-identical costs to the
+    // unbounded re-run; the config-sweep matrix leg must have compacted
+    // while staying at its budget (one-cell overshoot allowed per
+    // shard); the streamed tape and its size guard must both have
+    // fired; and hot-aligned traffic must price the attack at least as
+    // high as cold-aligned (exchange argument).
     let path = results_dir().join("BENCH_scale.json");
     let text = fs::read_to_string(&path).expect("results/BENCH_scale.json is committed");
     let keys = top_level_keys(&text).unwrap();
@@ -388,52 +389,62 @@ fn bench_scale_artifact_meets_the_skewed_traffic_floors() {
     );
     assert_eq!(num_field(&text, "scale_factor"), 100.0);
 
-    // Stream leg: >= 1M queries through a cache bounded far below the
-    // distinct pool, with skew paying for itself.
-    let queries = num_field(&text, "queries");
+    // Stream leg: >= 1M queries through a matrix budgeted far below the
+    // stream's cell working set, with skew paying for itself. Several
+    // field names recur in the matrix leg; scope to the stream block.
+    let stream = text
+        .split("\"stream\"")
+        .nth(1)
+        .and_then(|rest| rest.split("\"matrix\"").next())
+        .expect("stream leg present");
+    let queries = num_field(stream, "queries");
     assert!(queries >= 1_000_000.0, "queries = {queries} < 1M");
-    let capacity = num_field(&text, "cache_capacity");
-    let pool = num_field(&text, "distinct_pool_per_window");
+    let budget = num_field(stream, "matrix_byte_budget");
+    let working_set = num_field(stream, "working_set_bytes");
     assert!(
-        capacity < pool,
-        "capacity {capacity} must be under the distinct pool {pool} or nothing evicts"
+        budget < working_set,
+        "budget {budget} must be under the working set {working_set} or nothing compacts"
     );
-    let resident = num_field(&text, "entries_resident");
     assert!(
-        resident <= capacity,
-        "entries_resident {resident} over capacity {capacity}"
+        num_field(stream, "compactions") > 0.0,
+        "the stream budget never forced a compaction"
     );
-    assert!(num_field(&text, "evictions") > 0.0, "no evictions recorded");
-    let hit_zipf = num_field(&text, "hit_rate_zipf");
-    let hit_uniform = num_field(&text, "hit_rate_uniform");
+    let stream_peak = num_field(stream, "peak_bytes");
+    assert!(
+        stream_peak <= budget + 48.0 * 16.0,
+        "stream peak_bytes {stream_peak} overshot budget {budget} by more than a shard's insert slack"
+    );
+    let hit_zipf = num_field(stream, "hit_ratio_zipf");
+    let hit_uniform = num_field(stream, "hit_ratio_uniform");
     assert!(
         hit_zipf > hit_uniform,
-        "Zipf hit rate {hit_zipf} must beat uniform {hit_uniform} at equal capacity"
+        "Zipf hit ratio {hit_zipf} must beat uniform {hit_uniform} at equal budget"
     );
-    let qps = num_field(&text, "throughput_qps");
+    let qps = num_field(stream, "throughput_qps");
     assert!(qps.is_finite() && qps > 0.0, "throughput_qps = {qps}");
-    let peak_load = num_field(&text, "peak_window_load");
-    let trough_load = num_field(&text, "trough_window_load");
+    let peak_load = num_field(stream, "peak_window_load");
+    let trough_load = num_field(stream, "trough_window_load");
     assert!(
         peak_load > trough_load,
         "the diurnal curve must show: peak {peak_load} vs trough {trough_load}"
     );
     assert!(
-        text.contains("\"bounded_bits_identical\": true"),
-        "the bounded cache must be proven bit-identical to unbounded"
+        stream.contains("\"bounded_bits_identical\": true"),
+        "the bounded matrix must be proven bit-identical to unbounded"
     );
 
     // Matrix leg: the tracked footprint stayed at the budget and the
     // rotating compactor actually ran.
-    let budget = num_field(&text, "byte_budget");
-    let peak = num_field(&text, "peak_bytes");
+    let matrix = text.split("\"matrix\"").nth(1).expect("matrix leg present");
+    let budget = num_field(matrix, "byte_budget");
+    let peak = num_field(matrix, "peak_bytes");
     assert!(budget > 0.0, "byte_budget = {budget}");
     assert!(
         peak <= budget + 48.0 * 16.0,
         "peak_bytes {peak} overshot budget {budget} by more than a shard's insert slack"
     );
     assert!(
-        num_field(&text, "compactions") > 0.0,
+        num_field(matrix, "compactions") > 0.0,
         "the budget never forced a compaction — the leg proved nothing"
     );
 
@@ -523,6 +534,58 @@ fn bench_targets_artifact_meets_the_new_target_class_floors() {
         text.contains("\"deterministic_across_jobs\": true"),
         "the target-class cells must be proven worker-count invariant"
     );
+}
+
+#[test]
+fn regenerated_bench_artifacts_record_their_provenance() {
+    // Each of these artifacts names the commit, core count, advisor
+    // preset and date it was measured at, so a reader can tell a stale
+    // number from a fresh one without the git history.
+    for name in ["BENCH_runner", "BENCH_scale", "BENCH_whatif"] {
+        let path = results_dir().join(format!("{name}.json"));
+        let text = fs::read_to_string(&path).unwrap_or_else(|_| panic!("{name}.json is committed"));
+        let keys = top_level_keys(&text).unwrap();
+        assert!(
+            keys.iter().any(|k| k == "provenance"),
+            "{name}.json: missing top-level \"provenance\" (has {keys:?})"
+        );
+        let block = text
+            .split("\"provenance\"")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .unwrap();
+        let string_field = |key: &str| -> String {
+            block
+                .split(&format!("\"{key}\": \""))
+                .nth(1)
+                .and_then(|rest| rest.split('"').next())
+                .unwrap_or_else(|| panic!("{name}.json: provenance.{key} missing"))
+                .to_string()
+        };
+        let commit = string_field("commit");
+        let hex = commit.trim_end_matches("-dirty");
+        assert!(
+            hex.len() == 40 && hex.chars().all(|c| c.is_ascii_hexdigit()),
+            "{name}.json: provenance.commit {commit:?} is not a git commit id"
+        );
+        assert!(
+            num_field(block, "cores") >= 1.0,
+            "{name}.json: provenance.cores"
+        );
+        assert!(
+            ["Paper", "Quick", "Test"].contains(&string_field("preset").as_str()),
+            "{name}.json: provenance.preset"
+        );
+        let date = string_field("date");
+        let digits: Vec<bool> = date.chars().map(|c| c.is_ascii_digit()).collect();
+        assert!(
+            date.len() == 10
+                && date.as_bytes()[4] == b'-'
+                && date.as_bytes()[7] == b'-'
+                && digits.iter().filter(|&&d| d).count() == 8,
+            "{name}.json: provenance.date {date:?} is not YYYY-MM-DD"
+        );
+    }
 }
 
 #[test]

@@ -1,12 +1,13 @@
-//! Scale-hardening properties: bounded caches are invisible to cost
-//! bits, traffic generation is a pure function of its seed, and the
-//! whole traffic layer is `--jobs`-independent.
+//! Scale-hardening properties: a byte-bounded benefit matrix is
+//! invisible to cost bits, traffic generation is a pure function of its
+//! seed, and the whole traffic layer is `--jobs`-independent.
 //!
 //! These pin the contracts the `scale` bench relies on:
 //!
-//! * a capacity-bounded what-if cache (ANY capacity, including the
-//!   degenerate 0 and 1) returns f64-bit-identical costs to the
-//!   unbounded cache — eviction is presence-only;
+//! * a byte-budgeted benefit matrix (ANY budget, including the
+//!   degenerate 0 and one cell) returns f64-bit-identical costs to the
+//!   unbounded matrix, both per query and through an incremental
+//!   session — compaction is presence-only;
 //! * `TrafficModel` window pools, samples, and aggregated workloads are
 //!   byte-identical across rebuilds from the same seed, and differ
 //!   across seeds;
@@ -15,8 +16,7 @@
 
 use pipa::core::runner::par_map;
 use pipa::core::traffic::sampled_window_workload;
-use pipa::cost::SimBackend;
-use pipa::sim::IndexConfig;
+use pipa::sim::{Database, Index, IndexConfig, Workload};
 use pipa::workload::{Arrivals, Benchmark, Diurnal, Popularity, TrafficModel, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -29,24 +29,78 @@ fn generator() -> WorkloadGenerator {
     )
 }
 
-/// Cost every pool query under `capacity`, returning the raw bit
-/// patterns (order-sensitive; two passes so the second pass replays
-/// hits against survivors).
-fn costs_at_capacity(capacity: usize, seed: u64) -> Vec<u64> {
-    let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
-    let db = cost.database();
-    db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_capacity(capacity);
-    let model = TrafficModel::zipf(1.2, 4);
-    let traffic = model
+/// A TPC-H database with the benefit matrix on under `byte_budget`.
+fn budgeted_db(byte_budget: usize) -> Database {
+    let db = Benchmark::TpcH.database(1.0, None);
+    db.set_whatif_matrix_byte_budget(byte_budget);
+    db
+}
+
+/// The approximate footprint of one matrix cell, read off the matrix's
+/// own accounting after a single-table lookup under one index.
+fn one_cell_bytes() -> usize {
+    let db = budgeted_db(usize::MAX);
+    let traffic = TrafficModel::uniform(1)
+        .window_traffic(&generator(), 0, 0)
+        .expect("pool instantiates");
+    let q = (0..traffic.distinct_queries())
+        .map(|i| traffic.query(i))
+        .find(|q| q.tables.len() == 1)
+        .expect("TPC-H templates include a single-table query");
+    let col = *q
+        .referenced_columns()
+        .first()
+        .expect("query reads a column");
+    db.estimated_query_cost(q, &IndexConfig::from_indexes([Index::single(col)]));
+    let s = db.whatif_matrix_stats();
+    assert_eq!(s.entries + s.nl_entries, 1, "one lookup, one cell");
+    s.approx_bytes
+}
+
+/// Cost a Zipf traffic pool under `byte_budget` along both matrix
+/// paths, returning the raw bit patterns (order-sensitive):
+///
+/// * per query through `estimated_query_cost`, under a sweep of
+///   single-index configs and one multi-index config, in two passes so
+///   the second pass replays hits against whatever compaction left;
+/// * through one incremental session over the pool workload, previewing
+///   and then committing each candidate index in turn.
+fn costs_at_budget(byte_budget: usize, seed: u64) -> Vec<u64> {
+    let db = budgeted_db(byte_budget);
+    let traffic = TrafficModel::zipf(1.2, 4)
         .window_traffic(&generator(), 0, seed)
         .expect("pool instantiates");
-    let cfg = IndexConfig::default();
+    let w = Workload::from_queries(
+        (0..traffic.distinct_queries()).map(|i| (traffic.query(i).clone(), 1 + i as u32 % 3)),
+    );
+    let candidates: Vec<Index> = w
+        .candidate_columns()
+        .into_iter()
+        .take(6)
+        .map(Index::single)
+        .collect();
+    let mut configs: Vec<IndexConfig> = candidates
+        .iter()
+        .map(|i| IndexConfig::from_indexes([i.clone()]))
+        .collect();
+    configs.push(IndexConfig::from_indexes(candidates.iter().cloned()));
     let mut bits = Vec::new();
     for _pass in 0..2 {
-        for i in 0..traffic.distinct_queries() {
-            bits.push(db.estimated_query_cost(traffic.query(i), &cfg).to_bits());
+        for cfg in &configs {
+            for wq in w.iter() {
+                bits.push(db.estimated_query_cost(&wq.query, cfg).to_bits());
+            }
         }
+    }
+    let mut eval = db.whatif_eval_begin(&w);
+    let mut cfg = IndexConfig::empty();
+    bits.push(db.whatif_eval_total(&w, &eval).to_bits());
+    for idx in &candidates {
+        let mut after = cfg.clone();
+        after.add(idx.clone());
+        bits.push(db.whatif_eval_preview_add(&w, &eval, &after, idx).to_bits());
+        bits.push(db.whatif_eval_add(&w, &mut eval, &after, idx).to_bits());
+        cfg = after;
     }
     bits
 }
@@ -54,19 +108,20 @@ fn costs_at_capacity(capacity: usize, seed: u64) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// ANY capacity — 0 (store nothing), 1 (single survivor), small,
-    /// larger than the working set — yields the same cost bits as the
-    /// unbounded cache on the same query stream.
+    /// ANY matrix byte budget — 0 (every insert compacts), one cell,
+    /// small, unbounded — yields the same cost bits as the unbounded
+    /// matrix on the same query stream and session.
     #[test]
-    fn any_capacity_is_bit_identical_to_unbounded(
-        cap_idx in 0usize..6,
+    fn any_matrix_byte_budget_is_bit_identical_to_unbounded(
+        budget_idx in 0usize..4,
         seed in 0u64..1000,
     ) {
-        // Degenerate capacities (0: store nothing; 1: lone survivor)
-        // are in the table, not left to sampling luck.
-        let capacity = [0usize, 1, 2, 7, 33, 80][cap_idx];
-        let bounded = costs_at_capacity(capacity, seed);
-        let unbounded = costs_at_capacity(usize::MAX, seed);
+        // Degenerate budgets are in the table, not left to sampling
+        // luck; the small budget holds a handful of cells.
+        let cell = one_cell_bytes();
+        let budget = [0usize, cell, 16 * cell, usize::MAX][budget_idx];
+        let bounded = costs_at_budget(budget, seed);
+        let unbounded = costs_at_budget(usize::MAX, seed);
         prop_assert_eq!(bounded, unbounded);
     }
 
@@ -138,30 +193,42 @@ fn traffic_windows_are_jobs_independent() {
     assert_eq!(serial, run(8), "jobs=8 diverged from jobs=1");
 }
 
-/// The Zipf head concentrates draws: under a bounded cache the hot
-/// entries stay resident, which is the entire premise of the bench's
-/// hit-rate comparison. Pin the direction at unit scale.
+/// The Zipf head concentrates draws: under a bounded matrix the hot
+/// queries' cells are re-touched between compactions, which is the
+/// entire premise of the bench's hit-ratio comparison. Pin the
+/// direction at unit scale.
 #[test]
-fn zipf_beats_uniform_hit_rate_at_equal_capacity() {
-    let hit_rate = |pop: Popularity| -> f64 {
-        let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
-        let db = cost.database();
-        db.set_whatif_matrix_enabled(false);
-        db.set_whatif_cache_capacity(32);
+fn zipf_beats_uniform_matrix_hit_ratio_at_equal_byte_budget() {
+    let budget = 48 * one_cell_bytes();
+    let hit_ratio = |pop: Popularity| -> f64 {
+        let db = budgeted_db(budget);
         let mut model = TrafficModel::uniform(8);
         model.popularity = pop;
         let traffic = model.window_traffic(&generator(), 0, 3).unwrap();
-        let cfg = IndexConfig::default();
+        let pool = Workload::from_queries(
+            (0..traffic.distinct_queries()).map(|i| (traffic.query(i).clone(), 1)),
+        );
+        let cfg = IndexConfig::from_indexes(
+            pool.candidate_columns()
+                .into_iter()
+                .take(6)
+                .map(Index::single),
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..4000 {
             db.estimated_query_cost(traffic.query(traffic.sample(&mut rng)), &cfg);
         }
-        db.whatif_cache_stats().hit_rate()
+        let s = db.whatif_matrix_stats();
+        assert!(
+            s.compactions > 0,
+            "the budget must bind for the comparison to mean anything"
+        );
+        s.entry_hit_ratio()
     };
-    let zipf = hit_rate(Popularity::Zipf { exponent: 1.2 });
-    let uniform = hit_rate(Popularity::Uniform);
+    let zipf = hit_ratio(Popularity::Zipf { exponent: 1.2 });
+    let uniform = hit_ratio(Popularity::Uniform);
     assert!(
         zipf > uniform,
-        "skew must raise the bounded hit rate: zipf {zipf:.3} vs uniform {uniform:.3}"
+        "skew must raise the bounded hit ratio: zipf {zipf:.3} vs uniform {uniform:.3}"
     );
 }

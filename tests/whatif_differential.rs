@@ -4,8 +4,8 @@
 //! incremental eval sessions must be **bit-identical** (`f64::to_bits`)
 //! to a scalar full recompute through `estimated_workload_cost` — on
 //! proptest-generated TPC-H/TPC-DS workloads, under arbitrary
-//! index-config edit sequences, and on both cache-cold and cache-warm
-//! paths. Any divergence, even in the last ulp, is a bug: advisors make
+//! index-config edit sequences, and on matrix-cold, matrix-warm and
+//! zero-byte-budget paths. Any divergence, even in the last ulp, is a bug: advisors make
 //! strict `<` comparisons on these numbers, so "close enough" can flip
 //! a recommendation.
 
@@ -22,13 +22,12 @@ fn tpch() -> Database {
     Benchmark::TpcH.database(1.0, None)
 }
 
-/// A scalar-reference database: matrix off, what-if cache off. Every
-/// call walks the full analytical model from scratch (the "cold scalar
-/// recompute" all incremental paths are measured against).
+/// A scalar-reference database: matrix off, so every call walks the
+/// full analytical model from scratch (the "cold scalar recompute" all
+/// incremental paths are measured against).
 fn scalar_reference(bench: Benchmark) -> Database {
     let db = bench.database(1.0, None);
     db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_enabled(false);
     db
 }
 
@@ -295,16 +294,16 @@ proptest! {
         );
     }
 
-    /// The what-if cache must be value-transparent: the matrix path with
-    /// the cache cold, warm, and disabled all agree with the scalar
-    /// reference on join-heavy workloads.
+    /// The benefit matrix must be value-transparent whatever it holds:
+    /// the matrix path cold, warm, and under a zero byte budget (every
+    /// insert compacts, so every lookup recomputes) all agree with the
+    /// uncached scalar oracle on join-heavy workloads.
     #[test]
-    fn cache_cold_and_warm_paths_agree(
+    fn matrix_cold_warm_and_zero_budget_paths_agree(
         tmpl in 0usize..8,
         seed in 0u64..500,
         cols in arb_index_cols(),
     ) {
-        let scalar = scalar_reference(Benchmark::TpcH);
         let db = tpch();
         let templates = Benchmark::TpcH.default_templates();
         let q = templates[tmpl % templates.len()]
@@ -313,15 +312,17 @@ proptest! {
         let w = Workload::from_queries([(q, 3)]);
         let cfg = IndexConfig::from_indexes([build_index(&db, &cols)]);
 
-        let reference = scalar.estimated_workload_cost(&w, &cfg);
-        let cold = db.estimated_workload_cost(&w, &cfg); // cache+matrix cold
-        let warm = db.estimated_workload_cost(&w, &cfg); // both warm
-        db.set_whatif_cache_enabled(false);
-        let uncached = db.estimated_workload_cost(&w, &cfg);
-        db.set_whatif_cache_enabled(true);
-        assert_bits("fallback cold", reference, cold);
-        assert_bits("fallback warm", reference, warm);
-        assert_bits("fallback uncached", reference, uncached);
+        let reference = db.scalar_workload_cost(&w, &cfg);
+        let cold = db.estimated_workload_cost(&w, &cfg);
+        let warm = db.estimated_workload_cost(&w, &cfg);
+        db.set_whatif_matrix_byte_budget(0);
+        let zero_budget = db.estimated_workload_cost(&w, &cfg);
+        let zero_budget_again = db.estimated_workload_cost(&w, &cfg);
+        prop_assert_eq!(db.whatif_matrix_stats().approx_bytes, 0);
+        assert_bits("matrix cold", reference, cold);
+        assert_bits("matrix warm", reference, warm);
+        assert_bits("matrix zero budget", reference, zero_budget);
+        assert_bits("matrix zero budget again", reference, zero_budget_again);
     }
 }
 
