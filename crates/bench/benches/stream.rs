@@ -24,10 +24,11 @@
 //! `results/BENCH_stream.json`. `STREAM_BENCH_SMOKE=1` shrinks every
 //! dimension and skips the artifact write (CI smoke).
 
+use pipa_core::defense::DefensePolicy;
 use pipa_core::experiment::{build_db, CellConfig, InjectorKind};
 use pipa_core::stream::{
-    run_stream, run_stream_grid, AttackerStrategy, Cadence, DefensePolicy, StreamCell,
-    StreamGridSpec, StreamOutcome, StreamSpec,
+    run_stream, run_stream_grid, AttackerStrategy, Cadence, StreamCell, StreamGridSpec,
+    StreamOutcome, StreamSpec,
 };
 use pipa_core::CellSeed;
 use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};

@@ -33,14 +33,15 @@
 //! `results/BENCH_targets.json`. `TARGETS_BENCH_SMOKE=1` shrinks every
 //! dimension and skips the artifact write (CI smoke).
 
+use pipa_core::defense::DefensePolicy;
 use pipa_core::experiment::{
     build_db, normal_workload, run_cell, run_grid, CellConfig, GridSpec, InjectorKind,
 };
 use pipa_core::harness::StressOutcome;
 use pipa_core::runner::par_map;
 use pipa_core::stream::{
-    run_stream, run_stream_grid, AttackerStrategy, Cadence, DefensePolicy, StreamGridSpec,
-    StreamOutcome, StreamSpec,
+    run_stream, run_stream_grid, AttackerStrategy, Cadence, StreamGridSpec, StreamOutcome,
+    StreamSpec,
 };
 use pipa_core::CellSeed;
 use pipa_cost::{CostBackend, LearnedIndexBackend, LearnedIndexConfig};

@@ -7,15 +7,19 @@
 //!   that regress a held-out canary workload);
 //! * provenance screening of the training set before retraining.
 //!
+//! Every arm is one `StressTest` cell under a different
+//! `DefensePolicy`, the vocabulary the streaming arms race uses too.
+//!
 //! ```text
 //! cargo run --release -p pipa-bench --bin ablation_defense -- --runs 5
 //! ```
 
 use pipa_bench::cli::ExpArgs;
-use pipa_core::defense::{stress_with_canary, ProvenanceFilter};
-use pipa_cost::CostBackend;
-use pipa_core::experiment::{build_db, make_injector, normal_workload, InjectorKind};
-use pipa_core::metrics::{absolute_degradation, Stats};
+use pipa_core::defense::{DefensePolicy, ProvenanceFilter};
+use pipa_core::experiment::{
+    build_db, cell_stress_test, make_injector, normal_workload, InjectorKind,
+};
+use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
@@ -46,140 +50,79 @@ fn main() {
         args.runs
     );
 
+    // Every arm is the same stress cell under a different defense; cells
+    // of one run share the seed, hence the normal workload and injection.
+    let arms = [
+        ("none", DefensePolicy::None),
+        ("canary_2pct", DefensePolicy::Canary { tolerance: 0.02 }),
+        ("canary_10pct", DefensePolicy::Canary { tolerance: 0.10 }),
+        (
+            "provenance",
+            DefensePolicy::Provenance {
+                max_novel_fraction: ProvenanceFilter::default().max_novel_fraction,
+                history: 1,
+            },
+        ),
+    ];
     let runs: Vec<u64> = (0..args.runs as u64).collect();
     let trace_out = args.trace_outputs();
-    let ctx = |victim: AdvisorKind, defense: &'static str| {
-        let args = &args;
-        move |_: usize, run: &u64| {
-            CellCtx::new(args.cell_seed(*run).get())
-                .field("advisor", victim.label())
-                .field("defense", defense)
-                .field("run", *run)
-        }
-    };
     let mut rows = Vec::new();
     let mut payload = Vec::new();
     for victim in victims {
-        // No defense.
-        let ads = par_map_traced(
-            args.jobs,
-            runs.clone(),
-            &trace_out,
-            ctx(victim, "none"),
-            |_, run| {
-                let seed = args.cell_seed(run);
-                let normal = normal_workload(&cfg, seed.get());
-                pipa_core::experiment::run_cell(
-                    &db,
-                    &normal,
-                    victim,
-                    InjectorKind::Pipa,
-                    &cfg,
-                    seed,
-                )
-                .expect("stress test against the simulator backend")
-                .ad
-            },
-        );
-        let s = Stats::from_samples(&ads);
-        rows.push(vec![
-            victim.label(),
-            "none".to_string(),
-            format!("{:+.3}", s.mean),
-            "-".to_string(),
-        ]);
-        payload.push(Row {
-            advisor: victim.label(),
-            defense: "none".to_string(),
-            mean_ad: s.mean,
-            rolled_back_or_dropped: 0.0,
-        });
-
-        // Canary guard at two tolerances.
-        for (tol, tol_label) in [(0.02, "canary_2pct"), (0.10, "canary_10pct")] {
-            let outs = par_map_traced(
+        for (arm, policy) in arms {
+            let attacks = par_map_traced(
                 args.jobs,
                 runs.clone(),
                 &trace_out,
-                ctx(victim, tol_label),
+                |_, run| {
+                    CellCtx::new(args.cell_seed(*run).get())
+                        .field("advisor", victim.label())
+                        .field("defense", arm)
+                        .field("run", *run)
+                },
                 |_, run| {
                     let seed = args.cell_seed(run);
                     let normal = normal_workload(&cfg, seed.get());
                     let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
                     let mut injector = make_injector(InjectorKind::Pipa, &cfg, seed);
-                    stress_with_canary(
-                        advisor.as_mut(),
-                        injector.as_mut(),
-                        &db,
-                        &normal,
-                        cfg.injection_size,
-                        tol,
-                        seed.get(),
-                    )
-                    .expect("stress test against the simulator backend")
+                    cell_stress_test(&db, &normal, &cfg, seed)
+                        .defense(policy)
+                        .attack(advisor.as_mut(), injector.as_mut())
+                        .expect("stress test against the simulator backend")
                 },
             );
-            let ads: Vec<f64> = outs.iter().map(|(ad, _)| *ad).collect();
-            let rollbacks: usize = outs.iter().map(|(_, rb)| usize::from(*rb)).sum();
+            let ads: Vec<f64> = attacks.iter().map(|a| a.outcome.ad).collect();
+            let rollbacks = attacks.iter().filter(|a| a.rolled_back).count();
+            let dropped: usize = attacks.iter().map(|a| a.screened_out).sum();
+            let (defense, label, actions, acted) = match policy {
+                DefensePolicy::None => ("none".to_string(), "none".to_string(), "-".to_string(), 0),
+                DefensePolicy::Canary { tolerance } => (
+                    format!("canary_{tolerance}"),
+                    format!("canary ±{:.0}%", tolerance * 100.0),
+                    format!("{rollbacks}/{} rollbacks", args.runs),
+                    rollbacks,
+                ),
+                DefensePolicy::Provenance { .. } => (
+                    "provenance".to_string(),
+                    "provenance screen".to_string(),
+                    format!("{dropped} queries dropped"),
+                    dropped,
+                ),
+            };
             let s = Stats::from_samples(&ads);
             rows.push(vec![
                 victim.label(),
-                format!("canary ±{:.0}%", tol * 100.0),
+                label,
                 format!("{:+.3}", s.mean),
-                format!("{rollbacks}/{} rollbacks", args.runs),
+                actions,
             ]);
             payload.push(Row {
                 advisor: victim.label(),
-                defense: format!("canary_{tol}"),
+                defense,
                 mean_ad: s.mean,
-                rolled_back_or_dropped: rollbacks as f64 / args.runs as f64,
+                rolled_back_or_dropped: acted as f64 / args.runs as f64,
             });
         }
-
-        // Provenance screening.
-        let outs = par_map_traced(
-            args.jobs,
-            runs.clone(),
-            &trace_out,
-            ctx(victim, "provenance"),
-            |_, run| {
-                let seed = args.cell_seed(run);
-                let normal = normal_workload(&cfg, seed.get());
-                let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
-                advisor.train(&db, &normal).expect("train");
-                let clean = advisor.recommend(&db, &normal).expect("recommend");
-                let baseline = db.executed_workload_cost(&normal, &clean).expect("cost");
-                let mut injector = make_injector(InjectorKind::Pipa, &cfg, seed);
-                let injection = injector
-                    .build(advisor.as_mut(), &db, cfg.injection_size, seed.get())
-                    .expect("injection build");
-                let training = normal.union(&injection);
-                let (screened, dropped) = ProvenanceFilter::default().screen(
-                    &normal,
-                    &training,
-                    db.database().schema().num_columns(),
-                );
-                advisor.retrain(&db, &screened).expect("retrain");
-                let poisoned = advisor.recommend(&db, &normal).expect("recommend");
-                let final_cost = db.executed_workload_cost(&normal, &poisoned).expect("cost");
-                (absolute_degradation(final_cost, baseline), dropped)
-            },
-        );
-        let ads: Vec<f64> = outs.iter().map(|(ad, _)| *ad).collect();
-        let dropped_total: usize = outs.iter().map(|(_, d)| *d).sum();
-        let s = Stats::from_samples(&ads);
-        rows.push(vec![
-            victim.label(),
-            "provenance screen".to_string(),
-            format!("{:+.3}", s.mean),
-            format!("{dropped_total} queries dropped"),
-        ]);
-        payload.push(Row {
-            advisor: victim.label(),
-            defense: "provenance".to_string(),
-            mean_ad: s.mean,
-            rolled_back_or_dropped: dropped_total as f64 / args.runs as f64,
-        });
     }
 
     args.finish_trace(&trace_out, &db);

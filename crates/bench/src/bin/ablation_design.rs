@@ -12,8 +12,7 @@
 //! ```
 
 use pipa_bench::cli::ExpArgs;
-use pipa_core::experiment::{build_db, normal_workload, GenBackend};
-use pipa_core::harness::StressTest;
+use pipa_core::experiment::{build_db, cell_stress_test, normal_workload, GenBackend};
 use pipa_core::metrics::Stats;
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::{par_map_traced, InjectConfig, ProbeConfig, TargetedInjector};
@@ -74,10 +73,7 @@ fn run_variant(
                 unit_frequencies: variant.unit_frequencies,
                 ..InjectConfig::default()
             };
-            StressTest::new(db, &normal)
-                .injection_size(cfg.injection_size)
-                .actual_cost(cfg.materialize.is_some())
-                .seed(seed)
+            cell_stress_test(db, &normal, cfg, seed)
                 .run(advisor.as_mut(), &mut injector)
                 .expect("stress test against the simulator backend")
                 .ad

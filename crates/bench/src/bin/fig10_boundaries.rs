@@ -12,8 +12,7 @@
 //! ```
 
 use pipa_bench::cli::ExpArgs;
-use pipa_core::experiment::{build_db, normal_workload};
-use pipa_core::harness::StressTest;
+use pipa_core::experiment::{build_db, cell_stress_test, normal_workload};
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::preference::SegmentConfig;
@@ -65,10 +64,7 @@ fn run_with_segment(
                 ..Default::default()
             };
             injector.segment_cfg = seg;
-            StressTest::new(cost, &normal)
-                .injection_size(cfg.injection_size)
-                .actual_cost(cfg.materialize.is_some())
-                .seed(seed)
+            cell_stress_test(cost, &normal, cfg, seed)
                 .run(advisor.as_mut(), &mut injector)
                 .expect("stress test against the simulator backend")
                 .ad

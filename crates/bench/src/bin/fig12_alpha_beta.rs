@@ -14,8 +14,7 @@
 //! ```
 
 use pipa_bench::cli::ExpArgs;
-use pipa_core::experiment::{build_db, normal_workload, InjectorKind};
-use pipa_core::harness::StressTest;
+use pipa_core::experiment::{build_db, cell_stress_test, normal_workload, InjectorKind};
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::preference::{segment, SegmentConfig};
@@ -79,10 +78,7 @@ fn main() {
                 seed: seed.get(),
                 ..Default::default()
             };
-            let out = StressTest::new(&db, &normal)
-                .injection_size(cfg.injection_size)
-                .actual_cost(cfg.materialize.is_some())
-                .seed(seed)
+            let out = cell_stress_test(&db, &normal, &cfg, seed)
                 .run(advisor.as_mut(), &mut injector)
                 .expect("stress test against the simulator backend");
             (ai, out.ad)

@@ -12,12 +12,16 @@
 //! ```
 
 use pipa_bench::cli::ExpArgs;
-use pipa_core::experiment::{build_db, make_injector, normal_workload, InjectorKind};
+use pipa_core::experiment::{
+    build_db, cell_stress_test, make_injector, normal_workload, InjectorKind,
+};
 use pipa_core::par_map_traced;
 use pipa_core::report::ExperimentArtifact;
 use pipa_core::CellSeed;
+use pipa_cost::workload_benefit;
 use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
 use pipa_obs::CellCtx;
+use pipa_sim::IndexConfig;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -80,32 +84,26 @@ fn main() {
                 .field("injector", injector_kind.label())
         },
         |_, (panel, kind, injector_kind)| {
-        let engine = pipa_cost::CostEngine::new(&db);
-        let mut advisor = kind.build_with(BuildCtx::new(cfg.preset, args.seed));
-        advisor.train(&db, &normal).expect("train");
-        let clean = advisor.recommend(&db, &normal).expect("recommend");
-        let clean_benefit = engine.workload_benefit(&normal, &clean).expect("benefit");
-        let mut injector = make_injector(injector_kind, &cfg, CellSeed::raw(args.seed));
-        let inj = injector
-            .build(advisor.as_mut(), &db, cfg.injection_size, args.seed)
-            .expect("injection build");
-        advisor.retrain(&db, &normal.union(&inj)).expect("retrain");
-        let poisoned = advisor.recommend(&db, &normal).expect("recommend");
-        let poisoned_benefit = engine.workload_benefit(&normal, &poisoned).expect("benefit");
-        let retrained_benefit = (panel == "d").then(|| {
-            advisor.retrain(&db, &normal).expect("retrain");
-            let recovered = advisor.recommend(&db, &normal).expect("recommend");
-            engine.workload_benefit(&normal, &recovered).expect("benefit")
-        });
-        Curve {
-            panel: panel.to_string(),
-            advisor: kind.label(),
-            injector: injector_kind.label().to_string(),
-            trace: advisor.reward_trace().to_vec(),
-            clean_benefit,
-            poisoned_benefit,
-            retrained_benefit,
-        }
+            let seed = CellSeed::raw(args.seed);
+            let mut advisor = kind.build_with(BuildCtx::new(cfg.preset, args.seed));
+            let mut injector = make_injector(injector_kind, &cfg, seed);
+            let attack = cell_stress_test(&db, &normal, &cfg, seed)
+                .attack(advisor.as_mut(), injector.as_mut())
+                .expect("stress test against the simulator backend");
+            let benefit = |c: &IndexConfig| workload_benefit(&db, &normal, c).expect("benefit");
+            let retrained_benefit = (panel == "d").then(|| {
+                advisor.retrain(&db, &normal).expect("retrain");
+                benefit(&advisor.recommend(&db, &normal).expect("recommend"))
+            });
+            Curve {
+                panel: panel.to_string(),
+                advisor: kind.label(),
+                injector: injector_kind.label().to_string(),
+                trace: advisor.reward_trace().to_vec(),
+                clean_benefit: benefit(&attack.clean_config),
+                poisoned_benefit: benefit(&attack.poisoned_config),
+                retrained_benefit,
+            }
         },
     );
     args.finish_trace(&out, &db);

@@ -127,35 +127,83 @@ impl ProvenanceFilter {
     }
 }
 
-/// Convenience: run one stress test with a defense in place and report
-/// the residual AD (used by the defense ablation bench).
-pub fn stress_with_canary(
+/// The deployment-side defense a driver runs around each retrain. The
+/// static [`crate::harness::StressTest`] and the streaming
+/// [`crate::stream::run_stream`] share this vocabulary; a static run
+/// behaves as a one-window stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DefensePolicy {
+    /// No defense — every retrain deploys unconditionally.
+    None,
+    /// [`CanaryGuard`] at each retrain: the trusted workload (the
+    /// stream's bootstrap window, the static run's normal workload) is
+    /// the held-out canary; an update whose canary cost regresses beyond
+    /// `tolerance` is rolled back (the previously deployed configuration
+    /// stays in force).
+    Canary {
+        /// Relative canary regression tolerance.
+        tolerance: f64,
+    },
+    /// [`ProvenanceFilter`] screening of the training traffic. A stream
+    /// screens each window against the column profile of the last
+    /// `history` windows of *accepted* traffic (bootstrap-seeded), and
+    /// only what passes reaches training or the reference history; a
+    /// static run screens `normal ∪ injection` against `normal` (one
+    /// window of history, so `history` has no effect there).
+    Provenance {
+        /// Maximum novel-column fraction per query.
+        max_novel_fraction: f64,
+        /// Reference profile length, in windows.
+        history: usize,
+    },
+}
+
+impl DefensePolicy {
+    /// Stable label for traces and artifacts.
+    pub fn label(self) -> &'static str {
+        match self {
+            DefensePolicy::None => "none",
+            DefensePolicy::Canary { .. } => "canary",
+            DefensePolicy::Provenance { .. } => "provenance",
+        }
+    }
+}
+
+/// One retrain under `policy`, shared by both drivers: the backend
+/// observes `training` (learned cost backends refit on it), the advisor
+/// retrains, and the configuration to deploy is returned with whether a
+/// canary rolled the update back. Undefended (and provenance-screened,
+/// whose screening happens before training is assembled) retrains deploy
+/// the recommendation for `target`; a canary recommends for and guards
+/// on `canary`.
+pub fn retrain(
+    policy: DefensePolicy,
     advisor: &mut dyn ClearBoxAdvisor,
-    injector: &mut dyn crate::injectors::Injector,
     cost: &dyn CostBackend,
-    normal: &Workload,
-    injection_size: usize,
-    tolerance: f64,
-    seed: u64,
-) -> CostResult<(f64, bool)> {
-    advisor.train(cost, normal)?;
-    let clean_cfg = advisor.recommend(cost, normal)?;
-    let baseline = cost.executed_workload_cost(normal, &clean_cfg)?;
-    let injection = injector.build(advisor, cost, injection_size, seed)?;
-    let training = normal.union(&injection);
-    let guard = CanaryGuard::new(tolerance);
-    let outcome = guard.retrain_guarded(advisor, cost, &training, normal)?;
-    let final_cost = cost.executed_workload_cost(normal, &outcome.final_config)?;
-    Ok((
-        crate::metrics::absolute_degradation(final_cost, baseline),
-        outcome.rolled_back,
-    ))
+    training: &Workload,
+    target: &Workload,
+    canary: &Workload,
+) -> CostResult<(IndexConfig, bool)> {
+    cost.observe_training(training)?;
+    match policy {
+        DefensePolicy::Canary { tolerance } => {
+            let outcome =
+                CanaryGuard::new(tolerance).retrain_guarded(advisor, cost, training, canary)?;
+            Ok((outcome.final_config, outcome.rolled_back))
+        }
+        DefensePolicy::None | DefensePolicy::Provenance { .. } => {
+            advisor.retrain(cost, training)?;
+            Ok((advisor.recommend(cost, target)?, false))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{build_db, make_injector, normal_workload, CellConfig, InjectorKind};
+    use crate::harness::StressTest;
+    use crate::runner::CellSeed;
     use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_workload::Benchmark;
 
@@ -174,17 +222,14 @@ mod tests {
         let normal = normal_workload(&cfg, 51);
         let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
             .build_with(BuildCtx::new(SpeedPreset::Test, 51));
-        let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(51));
-        let (ad, _) = stress_with_canary(
-            advisor.as_mut(),
-            injector.as_mut(),
-            &cost,
-            &normal,
-            cfg.injection_size,
-            0.02,
-            51,
-        )
-        .unwrap();
+        let mut injector = make_injector(InjectorKind::Pipa, &cfg, CellSeed::raw(51));
+        let ad = StressTest::new(&cost, &normal)
+            .injection_size(cfg.injection_size)
+            .seed(CellSeed::raw(51))
+            .defense(DefensePolicy::Canary { tolerance: 0.02 })
+            .run(advisor.as_mut(), injector.as_mut())
+            .unwrap()
+            .ad;
         // The guard caps the deployed regression at roughly the tolerance.
         assert!(ad <= 0.05, "guarded AD {ad} exceeds the tolerance band");
     }
@@ -197,7 +242,7 @@ mod tests {
         let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
             .build_with(BuildCtx::new(SpeedPreset::Test, 53));
         advisor.train(&cost, &normal).unwrap();
-        let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(53));
+        let mut injector = make_injector(InjectorKind::Pipa, &cfg, CellSeed::raw(53));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 53).unwrap();
         let training = normal.union(&injection);
         let filter = ProvenanceFilter::default();
@@ -225,7 +270,7 @@ mod tests {
         let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
             .build_with(BuildCtx::new(SpeedPreset::Test, 57));
         advisor.train(&cost, &normal).unwrap();
-        let mut injector = make_injector(InjectorKind::Tp, &cfg, crate::runner::CellSeed::raw(57));
+        let mut injector = make_injector(InjectorKind::Tp, &cfg, CellSeed::raw(57));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 57).unwrap();
         let filter = ProvenanceFilter::default();
         let num_columns = cost.database().schema().num_columns();

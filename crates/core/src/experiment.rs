@@ -174,6 +174,21 @@ pub fn make_injector(kind: InjectorKind, cfg: &CellConfig, seed: CellSeed) -> Bo
     }
 }
 
+/// The [`StressTest`] an experiment cell runs: the cell's injection
+/// size, executed costs when the cell materializes data (estimates
+/// otherwise), and the cell seed. Callers may add a defense.
+pub fn cell_stress_test<'a>(
+    cost: &'a dyn CostBackend,
+    normal: &'a Workload,
+    cfg: &CellConfig,
+    seed: CellSeed,
+) -> StressTest<'a> {
+    StressTest::new(cost, normal)
+        .injection_size(cfg.injection_size)
+        .actual_cost(cfg.materialize.is_some())
+        .seed(seed)
+}
+
 /// Run one (advisor, injector) cell once.
 ///
 /// The advisor is named by anything convertible to an [`AdvisorSpec`] —
@@ -191,11 +206,7 @@ pub fn run_cell(
     let spec = advisor.into();
     let mut advisor = spec.build_with(pipa_ia::BuildCtx::new(cfg.preset, seed.get()))?;
     let mut injector = make_injector(injector_kind, cfg, seed);
-    StressTest::new(cost, normal)
-        .injection_size(cfg.injection_size)
-        .actual_cost(cfg.materialize.is_some())
-        .seed(seed)
-        .run(advisor.as_mut(), injector.as_mut())
+    cell_stress_test(cost, normal, cfg, seed).run(advisor.as_mut(), injector.as_mut())
 }
 
 /// A full advisor × injector × run experiment grid.
@@ -398,14 +409,23 @@ mod tests {
         assert!(!lines.is_empty());
         let seed = CellSeed::derive(7, 0).get();
         for line in &lines {
+            let keys = pipa_obs::json::top_level_keys(line).expect("valid JSON");
+            assert!(keys.contains(&"event".to_string()), "{line}");
+            assert!(keys.contains(&"phase".to_string()), "{line}");
             assert!(line.contains(&format!("\"cell_seed\":{seed}")), "{line}");
             assert!(line.contains("\"advisor\":\"DBAbandit-b\""), "{line}");
             assert!(line.contains("\"injector\":\"TP\""), "{line}");
             assert!(line.contains("\"run\":0"), "{line}");
         }
-        assert!(lines
+        // The stress test's five stages each open a phase, and the
+        // outcome event reports the AD.
+        let phases = lines.iter().filter(|l| l.contains("\"event\":\"phase_start\""));
+        assert!(phases.count() >= 5, "expected the five stages");
+        let outcome = lines
             .iter()
-            .any(|l| l.contains("\"event\":\"stress_outcome\"")));
+            .find(|l| l.contains("\"event\":\"stress_outcome\""))
+            .expect("outcome event present");
+        assert!(outcome.contains("\"ad\":"));
     }
 
     #[test]

@@ -6,13 +6,34 @@
 //! layers below, a final `stress_outcome` event), so a surprising AD
 //! value can be diagnosed from the `--trace` stream instead of a
 //! debugger.
+//!
+//! # Two drivers, one retrain
+//!
+//! The repository drives the train → inject → retrain sequence in
+//! exactly two places: [`StressTest`] here, for the paper's static
+//! cells, and [`crate::stream::run_stream`], for the same sequence over
+//! drifting windows. Every static cell (the experiment grid, the
+//! defense ablation, Fig. 8's reward traces, the traffic economics)
+//! runs through [`StressTest::attack`], and both drivers retrain
+//! through [`crate::defense::retrain`], so a [`DefensePolicy`] means the
+//! same thing in either.
+//!
+//! `StressTest` is deliberately not a front end over `run_stream`. Even
+//! with one window, a stream also builds, trains, recommends and
+//! retrains a clean twin and measures two extra workloads, which would
+//! roughly double the advisor work of every static cell (advisor work is
+//! most of a cell's time). Instead `tests/stream_differential.rs` pins a
+//! one-window, [`DriftSchedule::Static`](pipa_workload::DriftSchedule),
+//! end-only stream bit-identical to `StressTest` under each defense
+//! policy.
 
+use crate::defense::{self, DefensePolicy, ProvenanceFilter};
 use crate::injectors::Injector;
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::CellSeed;
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{measured_workload_cost, CostBackend, CostResult};
 use pipa_ia::ClearBoxAdvisor;
-use pipa_obs::{CellCtx, Event, TraceOutputs};
+use pipa_obs::Event;
 use pipa_sim::{IndexConfig, Workload};
 use serde::Serialize;
 
@@ -45,6 +66,23 @@ pub struct StressOutcome {
     pub seed: u64,
 }
 
+/// Everything one stress test produced: the outcome, the two
+/// configurations it compared, and what the defense did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Attack {
+    /// The report.
+    pub outcome: StressOutcome,
+    /// The clean advisor's recommendation (the baseline).
+    pub clean_config: IndexConfig,
+    /// The configuration deployed after the poisoned retrain (the
+    /// pre-update one again when a canary rolled the update back).
+    pub poisoned_config: IndexConfig,
+    /// Whether a [`DefensePolicy::Canary`] rolled the update back.
+    pub rolled_back: bool,
+    /// Training queries a [`DefensePolicy::Provenance`] screen dropped.
+    pub screened_out: usize,
+}
+
 /// One full stress test, configured fluently:
 ///
 /// ```no_run
@@ -74,14 +112,14 @@ pub struct StressOutcome {
 /// so the same advisor instance can be reused across runs.
 ///
 /// Defaults mirror the paper's main experiment: injection size 18,
-/// actual-cost measurement, seed 0.
+/// actual-cost measurement, seed 0, no defense.
 pub struct StressTest<'a> {
     cost: &'a dyn CostBackend,
     normal: &'a Workload,
     injection_size: usize,
     use_actual_cost: bool,
     seed: CellSeed,
-    outputs: Option<&'a TraceOutputs>,
+    defense: DefensePolicy,
 }
 
 impl<'a> StressTest<'a> {
@@ -93,7 +131,7 @@ impl<'a> StressTest<'a> {
             injection_size: 18,
             use_actual_cost: true,
             seed: CellSeed::raw(0),
-            outputs: None,
+            defense: DefensePolicy::None,
         }
     }
 
@@ -117,45 +155,37 @@ impl<'a> StressTest<'a> {
         self
     }
 
-    /// Attach observability outputs for a *standalone* run: the test
-    /// records into a fresh cell scope and flushes it here on
-    /// completion. Inside a traced grid ([`crate::experiment::run_grid_traced`])
-    /// the grid's own recording scope is already active and takes
-    /// precedence — cell ordering stays with the runner.
-    pub fn sink(mut self, outputs: &'a TraceOutputs) -> Self {
-        self.outputs = Some(outputs);
+    /// The deployment-side defense around the retrain (default
+    /// [`DefensePolicy::None`], the paper's setting). The run behaves as
+    /// a one-window stream: `Provenance` screens `normal ∪ injection`
+    /// against `normal`, and `Canary` guards the retrain with `normal`
+    /// as the canary.
+    pub fn defense(mut self, policy: DefensePolicy) -> Self {
+        self.defense = policy;
         self
     }
 
     /// Execute: train on `W`, measure the baseline, build `Ŵ` (the
     /// injector may probe the trained victim), retrain on `{W, Ŵ}`,
-    /// re-measure on `W`.
+    /// re-measure on `W`. The report of [`attack`](Self::attack).
     pub fn run(
         &self,
         advisor: &mut dyn ClearBoxAdvisor,
         injector: &mut dyn Injector,
     ) -> CostResult<StressOutcome> {
-        match self.outputs {
-            Some(out) if out.active() && !pipa_obs::is_recording() => {
-                let ctx = CellCtx::new(self.seed.get())
-                    .field("advisor", advisor.name())
-                    .field("injector", injector.name());
-                let (outcome, trace) = pipa_obs::record_cell(true, ctx, || {
-                    self.execute(advisor, injector)
-                });
-                out.write_cell(&trace);
-                out.flush();
-                outcome
-            }
-            _ => self.execute(advisor, injector),
-        }
+        self.attack(advisor, injector).map(|a| a.outcome)
     }
 
-    fn execute(
+    /// [`run`](Self::run), keeping the clean and poisoned configurations
+    /// and what the defense did. The advisor stays in its post-attack
+    /// state for callers that inspect it further. Each stage reports to
+    /// the `pipa-obs` recording scope the caller opened (a traced grid
+    /// opens one per cell), if any.
+    pub fn attack(
         &self,
         advisor: &mut dyn ClearBoxAdvisor,
         injector: &mut dyn Injector,
-    ) -> CostResult<StressOutcome> {
+    ) -> CostResult<Attack> {
         // Green flow: train on W, establish the performance baseline.
         // The backend observes the training workload first: learned cost
         // backends (pipa-cost's LearnedIndexBackend) refit their
@@ -166,8 +196,8 @@ impl<'a> StressTest<'a> {
         advisor.train(self.cost, self.normal)?;
 
         pipa_obs::phase("baseline");
-        let clean_cfg = advisor.recommend(self.cost, self.normal)?;
-        let baseline_cost = self.workload_cost(&clean_cfg)?;
+        let clean_config = advisor.recommend(self.cost, self.normal)?;
+        let baseline_cost = self.workload_cost(&clean_config)?;
 
         // Red flow: build Ŵ. The probing/injecting stages re-declare
         // their own phases ("probe", "inject") as they run; injectors
@@ -176,13 +206,27 @@ impl<'a> StressTest<'a> {
         let injection = injector.build(advisor, self.cost, self.injection_size, self.seed.get())?;
 
         pipa_obs::phase("retrain");
-        let training = self.normal.union(&injection);
-        self.cost.observe_training(&training)?;
-        advisor.retrain(self.cost, &training)?;
+        let mut training = self.normal.union(&injection);
+        let mut screened_out = 0;
+        if let DefensePolicy::Provenance {
+            max_novel_fraction, ..
+        } = self.defense
+        {
+            let num_columns = self.cost.catalog().schema.num_columns();
+            (training, screened_out) =
+                ProvenanceFilter { max_novel_fraction }.screen(self.normal, &training, num_columns);
+        }
+        let (poisoned_config, rolled_back) = defense::retrain(
+            self.defense,
+            advisor,
+            self.cost,
+            &training,
+            self.normal,
+            self.normal,
+        )?;
 
         pipa_obs::phase("measure");
-        let poisoned_cfg = advisor.recommend(self.cost, self.normal)?;
-        let poisoned_cost = self.workload_cost(&poisoned_cfg)?;
+        let poisoned_cost = self.workload_cost(&poisoned_config)?;
 
         let outcome = StressOutcome {
             advisor: advisor.name(),
@@ -191,8 +235,8 @@ impl<'a> StressTest<'a> {
             poisoned_cost,
             ad: absolute_degradation(poisoned_cost, baseline_cost),
             toxic: is_toxic(poisoned_cost, baseline_cost),
-            baseline_indexes: index_names(self.cost, &clean_cfg),
-            poisoned_indexes: index_names(self.cost, &poisoned_cfg),
+            baseline_indexes: index_names(self.cost, &clean_config),
+            poisoned_indexes: index_names(self.cost, &poisoned_config),
             injection_size: injection.len(),
             seed: self.seed.get(),
         };
@@ -206,15 +250,22 @@ impl<'a> StressTest<'a> {
                     .field("injection_size", outcome.injection_size),
             );
         }
-        Ok(outcome)
+        Ok(Attack {
+            outcome,
+            clean_config,
+            poisoned_config,
+            rolled_back,
+            screened_out,
+        })
     }
 
     fn workload_cost(&self, cfg: &IndexConfig) -> CostResult<f64> {
-        CostEngine::new(self.cost).measured_workload_cost(self.normal, cfg, self.use_actual_cost)
+        measured_workload_cost(self.cost, self.normal, cfg, self.use_actual_cost)
     }
 }
 
-fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
+/// Display names of a configuration's indexes, in configuration order.
+pub fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
     let schema = cost.catalog().schema;
     cfg.indexes().iter().map(|i| i.name(schema)).collect()
 }
@@ -225,7 +276,6 @@ mod tests {
     use crate::injectors::{TargetedInjector, TpInjector};
     use crate::probe::ProbeConfig;
     use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
-    use pipa_obs::MemorySink;
     use pipa_qgen::StGenerator;
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
@@ -305,18 +355,26 @@ mod tests {
 
     #[test]
     fn builder_sink_captures_a_standalone_run() {
+        // A standalone run is traced by opening a recording scope around
+        // it and writing the captured cell to the outputs.
         let (cost, w) = setup();
-        let trace = MemorySink::new();
-        let out = TraceOutputs::with_sinks(Some(Box::new(trace.clone())), None);
+        let trace = pipa_obs::MemorySink::new();
+        let out = pipa_obs::TraceOutputs::with_sinks(Some(Box::new(trace.clone())), None);
         let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 4));
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
-        let outcome = StressTest::new(&cost, &w)
-            .injection_size(4)
-            .actual_cost(false)
-            .seed(CellSeed::raw(4))
-            .sink(&out)
-            .run(ia.as_mut(), &mut inj)
-            .unwrap();
+        let ctx = pipa_obs::CellCtx::new(4)
+            .field("advisor", ia.name())
+            .field("injector", inj.name());
+        let (outcome, cell) = pipa_obs::record_cell(true, ctx, || {
+            StressTest::new(&cost, &w)
+                .injection_size(4)
+                .actual_cost(false)
+                .seed(CellSeed::raw(4))
+                .run(ia.as_mut(), &mut inj)
+        });
+        out.write_cell(&cell);
+        out.flush();
+        let outcome = outcome.unwrap();
         let lines = trace.lines();
         assert!(!lines.is_empty());
         for line in &lines {

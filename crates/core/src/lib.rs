@@ -67,11 +67,11 @@ pub mod runner;
 pub mod stream;
 pub mod traffic;
 
-pub use defense::{CanaryGuard, ProvenanceFilter};
+pub use defense::{CanaryGuard, DefensePolicy, ProvenanceFilter};
 pub use experiment::{
     run_grid, run_grid_traced, CellConfig, GenBackend, GridCell, GridSpec, InjectorKind,
 };
-pub use harness::{StressOutcome, StressTest};
+pub use harness::{Attack, StressOutcome, StressTest};
 pub use inject::{inject, InjectConfig, InjectResult};
 pub use injectors::{Injector, TargetedInjector, TpInjector};
 pub use metrics::{absolute_degradation, is_toxic, relative_degradation, Stats};
@@ -79,7 +79,7 @@ pub use preference::{segment, IndexingPreference, SegmentConfig, Segments};
 pub use probe::{probe, ProbeConfig, ProbeResult};
 pub use runner::{default_jobs, derive_seed, par_map, par_map_traced, CellSeed};
 pub use stream::{
-    run_stream, run_stream_grid, run_stream_grid_traced, AttackerStrategy, Cadence, DefensePolicy,
-    StreamCell, StreamGridSpec, StreamOutcome, StreamSpec, WindowReport,
+    run_stream, run_stream_grid, run_stream_grid_traced, AttackerStrategy, Cadence, StreamCell,
+    StreamGridSpec, StreamOutcome, StreamSpec, WindowReport,
 };
 pub use traffic::{poisoning_economics, sampled_window_workload, PoisonEconomics};

@@ -17,8 +17,8 @@
 //!    clean plus whatever injection survived screening — joins the
 //!    pending training set.
 //! 3. **At cadence points** the advisor retrains on the pending traffic
-//!    (optionally behind a [`CanaryGuard`]) and a new configuration
-//!    deploys.
+//!    (optionally behind a [`CanaryGuard`](crate::defense::CanaryGuard))
+//!    and a new configuration deploys.
 //!
 //! Degradation is measured against a **clean twin**: a second advisor
 //! built from the same seed, trained on the same clean windows at the
@@ -26,17 +26,25 @@
 //! cost vs. the twin's cost on the same clean traffic, so a stream with
 //! no attacker has AD exactly 0 in every window.
 //!
-//! A one-window stream with [`DriftSchedule::Static`] drift,
-//! [`Cadence::EndOnly`] retraining, and no defense performs the exact
-//! call sequence of the static pipeline — `tests/stream_differential.rs`
-//! pins the reports bit-identical.
+//! # Two drivers
+//!
+//! This module and [`crate::harness::StressTest`] are the only drivers
+//! of the train → inject → retrain sequence, and both retrain through
+//! [`crate::defense::retrain`] under the same [`DefensePolicy`]. Neither
+//! is a front end over the other: a stream's clean twin would double a
+//! static cell's advisor work (see the harness docs), and a stream's
+//! windows share one advisor and one pending training set, so it is not
+//! a loop over static cells. `tests/stream_differential.rs` pins a
+//! one-window, [`DriftSchedule::Static`], [`Cadence::EndOnly`] stream
+//! bit-identical to `StressTest` under the same defense, including the
+//! rollback and screening counts.
 
-use crate::defense::{CanaryGuard, ProvenanceFilter};
+use crate::defense::{self, DefensePolicy, ProvenanceFilter};
 use crate::experiment::{make_injector, CellConfig, InjectorKind};
-use crate::harness::StressOutcome;
+use crate::harness::{index_names, StressOutcome};
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::{derive_seed, par_map_traced, CellSeed};
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{measured_workload_cost, CostBackend, CostResult};
 use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::{CellCtx, Event, TraceOutputs};
 use pipa_sim::{IndexConfig, Workload};
@@ -108,42 +116,6 @@ impl AttackerStrategy {
         match self {
             AttackerStrategy::None => None,
             AttackerStrategy::Spread(k) | AttackerStrategy::Burst(k) => Some(k),
-        }
-    }
-}
-
-/// The online defense running alongside the stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DefensePolicy {
-    /// No defense — every retrain deploys unconditionally.
-    None,
-    /// [`CanaryGuard`] at each retrain: the bootstrap window is the
-    /// held-out canary; an update whose canary cost regresses beyond
-    /// `tolerance` is rolled back (the previously deployed configuration
-    /// stays in force).
-    Canary {
-        /// Relative canary regression tolerance.
-        tolerance: f64,
-    },
-    /// Sliding-window [`ProvenanceFilter`]: each window's observed
-    /// traffic is screened against the column profile of the last
-    /// `history` windows of *accepted* traffic (bootstrap-seeded), and
-    /// only what passes reaches training or the reference history.
-    Provenance {
-        /// Maximum novel-column fraction per query.
-        max_novel_fraction: f64,
-        /// Reference profile length, in windows.
-        history: usize,
-    },
-}
-
-impl DefensePolicy {
-    /// Stable label for traces and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            DefensePolicy::None => "none",
-            DefensePolicy::Canary { .. } => "canary",
-            DefensePolicy::Provenance { .. } => "provenance",
         }
     }
 }
@@ -273,11 +245,6 @@ impl StreamOutcome {
     }
 }
 
-fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
-    let schema = cost.catalog().schema;
-    cfg.indexes().iter().map(|i| i.name(schema)).collect()
-}
-
 /// Union a non-empty window sequence in arrival order (clean before
 /// injection within a window is already baked into each part).
 fn union_all(parts: &[Workload]) -> Workload {
@@ -317,11 +284,10 @@ pub fn run_stream(
     let gen = WorkloadGenerator::new(cfg.benchmark.schema(), cfg.benchmark.default_templates());
     let wseed = seed.get() ^ 0x4021;
     let use_actual = cfg.materialize.is_some();
-    let engine = CostEngine::new(cost);
     let mut cost_evals = 0u64;
     let mut measure = |w: &Workload, c: &IndexConfig| -> CostResult<f64> {
         cost_evals += w.len() as u64;
-        engine.measured_workload_cost(w, c, use_actual)
+        measured_workload_cost(cost, w, c, use_actual)
     };
 
     // Bootstrap: train the victim and its clean twin on the trusted
@@ -443,22 +409,16 @@ pub fn run_stream(
             let training = union_all(&victim_pending);
             let batch_poisoned = injected_since(&windows, injected) > 0;
             victim_pending.clear();
-            cost.observe_training(&training)?;
-            match spec.defense {
-                DefensePolicy::Canary { tolerance } => {
-                    let guard = CanaryGuard::new(tolerance);
-                    let outcome =
-                        guard.retrain_guarded(advisor.as_mut(), cost, &training, &canary)?;
-                    rolled_back = outcome.rolled_back;
-                    if rolled_back {
-                        rollbacks += 1;
-                    }
-                    deployed = outcome.final_config;
-                }
-                _ => {
-                    advisor.retrain(cost, &training)?;
-                    deployed = advisor.recommend(cost, &wl)?;
-                }
+            (deployed, rolled_back) = defense::retrain(
+                spec.defense,
+                advisor.as_mut(),
+                cost,
+                &training,
+                &wl,
+                &canary,
+            )?;
+            if rolled_back {
+                rollbacks += 1;
             }
             if batch_poisoned {
                 poisoned_retrains += 1;

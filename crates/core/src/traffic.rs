@@ -9,9 +9,10 @@
 //! as losing one behind a quarterly report. [`poisoning_economics`]
 //! makes that a measurable axis:
 //!
-//! 1. run one attack end to end (train → clean config → inject →
-//!    retrain → poisoned config), keeping the *configurations*, not
-//!    just their names;
+//! 1. run one attack end to end through
+//!    [`StressTest::attack`](crate::harness::StressTest::attack)
+//!    (train → clean config → inject → retrain → poisoned config),
+//!    keeping the *configurations*, not just their names;
 //! 2. re-measure every template's cost under both configurations
 //!    through the [`CostBackend`] seam, giving a per-template relative
 //!    degradation `r_t`;
@@ -32,7 +33,9 @@
 //! `(model, generator, window, seed)` so `--jobs` determinism carries
 //! over unchanged.
 
-use crate::experiment::{make_injector, normal_workload, CellConfig, InjectorKind};
+use crate::experiment::{
+    cell_stress_test, make_injector, normal_workload, CellConfig, InjectorKind,
+};
 use crate::runner::CellSeed;
 use pipa_cost::{CostBackend, CostResult};
 use pipa_ia::{AdvisorSpec, BuildCtx};
@@ -133,11 +136,9 @@ pub fn poisoning_economics(
         .into()
         .build_with(BuildCtx::new(cfg.preset, seed.get()))?;
     let mut injector = make_injector(injector_kind, cfg, seed);
-    advisor.train(cost, &normal)?;
-    let clean_cfg = advisor.recommend(cost, &normal)?;
-    let injection = injector.build(advisor.as_mut(), cost, cfg.injection_size, seed.get())?;
-    advisor.retrain(cost, &normal.union(&injection))?;
-    let poisoned_cfg = advisor.recommend(cost, &normal)?;
+    let attack =
+        cell_stress_test(cost, &normal, cfg, seed).attack(advisor.as_mut(), injector.as_mut())?;
+    let (clean_cfg, poisoned_cfg) = (&attack.clean_config, &attack.poisoned_config);
 
     // Per-template costs under both configurations, through the seam.
     let mut base = Vec::with_capacity(normal.len());
@@ -145,8 +146,8 @@ pub fn poisoning_economics(
     let mut per_template_ad = Vec::with_capacity(normal.len());
     for wq in normal.iter() {
         let f = wq.frequency as f64;
-        let b = f * cost.query_cost(&wq.query, &clean_cfg)?;
-        let p = f * cost.query_cost(&wq.query, &poisoned_cfg)?;
+        let b = f * cost.query_cost(&wq.query, clean_cfg)?;
+        let p = f * cost.query_cost(&wq.query, poisoned_cfg)?;
         base.push(b);
         delta.push(p - b);
         per_template_ad.push(if b == 0.0 { 0.0 } else { (p - b) / b });
@@ -171,8 +172,8 @@ pub fn poisoning_economics(
     let identity: Vec<usize> = (0..n).collect();
 
     Ok(PoisonEconomics {
-        advisor: advisor.name(),
-        injector: injector.name().to_string(),
+        advisor: attack.outcome.advisor,
+        injector: attack.outcome.injector,
         exponent,
         templates: n,
         ad_uniform: weighted_ad(&uniform, &identity, &delta, &base),

@@ -2,10 +2,10 @@
 //! serial one, all the way through JSON serialization (the form the
 //! `results/*.json` artifacts take).
 
+use pipa_core::defense::DefensePolicy;
 use pipa_core::experiment::{build_db, CellConfig, GridSpec, InjectorKind};
 use pipa_core::stream::{
-    run_stream_grid, run_stream_grid_traced, AttackerStrategy, Cadence, DefensePolicy,
-    StreamGridSpec,
+    run_stream_grid, run_stream_grid_traced, AttackerStrategy, Cadence, StreamGridSpec,
 };
 use pipa_core::{run_grid, run_grid_traced, CellSeed};
 use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};

@@ -9,7 +9,7 @@
 //! `&dyn CostBackend` instead of the concrete in-memory simulator:
 //!
 //! * [`SimBackend`] — wraps [`pipa_sim::Database`] and routes through its
-//!   benefit-matrix/cost-cache machinery, bit-identical to direct calls
+//!   benefit-matrix machinery, bit-identical to direct calls
 //!   (pinned by `tests/cost_backend_differential.rs`);
 //! * [`RecordingBackend`] / [`ReplayBackend`] — a record/replay pair that
 //!   captures `(query, config) → cost` tapes as JSONL (written through
@@ -21,9 +21,9 @@
 //!   ([`CostBackend::observe_training`]), making the index *structure*
 //!   itself a poisoning target.
 //!
-//! The [`CostEngine`] facade adds the composed helpers every consumer
-//! wants (benefits, best-single-index, estimated-vs-executed dispatch)
-//! on top of any backend.
+//! Three free functions compose trait calls into the measurements
+//! consumers share: [`query_benefit`], [`workload_benefit`] and
+//! [`measured_workload_cost`].
 //!
 //! Errors are typed ([`CostError`]) instead of panics: a poisoned lock,
 //! missing materialized data, or a replay-tape miss surfaces as a value
@@ -32,16 +32,16 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod engine;
 mod error;
 mod learned;
+mod measure;
 mod replay;
 mod sim;
 
 pub use backend::{CostBackend, CostSession};
-pub use engine::CostEngine;
 pub use error::{CostError, CostResult, ReplayMissDetail};
 pub use learned::{LearnedIndexBackend, LearnedIndexConfig};
+pub use measure::{measured_workload_cost, query_benefit, workload_benefit};
 pub use replay::{RecordingBackend, ReplayBackend, Tape, DEFAULT_TAPE_BYTE_LIMIT};
 pub use sim::SimBackend;
 

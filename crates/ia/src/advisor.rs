@@ -147,14 +147,10 @@ impl AdvisorKind {
         ]
     }
 
-    /// Display name matching the paper's tables.
+    /// Display name matching the paper's tables: the registry entry's
+    /// label for this kind's spec (the format strings live there).
     pub fn label(self) -> String {
-        match self {
-            AdvisorKind::Dqn(m) => format!("DQN-{}", m.suffix()),
-            AdvisorKind::DrlIndex(m) => format!("DRLindex-{}", m.suffix()),
-            AdvisorKind::DbaBandit(m) => format!("DBAbandit-{}", m.suffix()),
-            AdvisorKind::Swirl => "SWIRL".to_string(),
-        }
+        crate::registry::AdvisorSpec::from(self).label()
     }
 }
 

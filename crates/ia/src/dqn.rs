@@ -519,7 +519,7 @@ impl ClearBoxAdvisor for DqnAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
 
     fn setup() -> (SimBackend, Workload) {
@@ -551,7 +551,7 @@ mod tests {
         let mut ia = DqnAdvisor::new(TrajectoryMode::Best, DqnConfig::fast());
         ia.train(&cost, &w).unwrap();
         let cfg = ia.recommend(&cost, &w).unwrap();
-        let benefit = CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap();
+        let benefit = workload_benefit(&cost, &w, &cfg).unwrap();
         assert!(benefit > 0.05, "benefit {benefit}");
     }
 

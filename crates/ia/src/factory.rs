@@ -12,7 +12,7 @@
 //! thin alias over that seam, kept so the paper-experiment call sites
 //! stay enum-typed.
 
-use crate::advisor::{AdvisorKind, ClearBoxAdvisor, TrajectoryMode};
+use crate::advisor::{AdvisorKind, ClearBoxAdvisor};
 use crate::bandit::BanditConfig;
 use crate::dqn::DqnConfig;
 use crate::drlindex::DrlIndexConfig;
@@ -96,26 +96,12 @@ pub struct BuildCtx {
     pub preset: SpeedPreset,
     /// RNG seed for the advisor's own stochastic machinery.
     pub seed: u64,
-    /// Override the kind's trajectory-selection mode (`-b`/`-m`).
-    /// `None` keeps the mode baked into the kind/spec; `Some(m)`
-    /// rewrites it (kinds without a mode, like SWIRL, ignore this).
-    pub mode_override: Option<TrajectoryMode>,
 }
 
 impl BuildCtx {
-    /// Context with the given preset and seed, no mode override.
+    /// Context with the given preset and seed.
     pub fn new(preset: SpeedPreset, seed: u64) -> Self {
-        BuildCtx {
-            preset,
-            seed,
-            mode_override: None,
-        }
-    }
-
-    /// Builder-style trajectory-mode override.
-    pub fn mode(mut self, mode: TrajectoryMode) -> Self {
-        self.mode_override = Some(mode);
-        self
+        BuildCtx { preset, seed }
     }
 }
 
@@ -169,16 +155,6 @@ mod tests {
         assert_eq!(ia.name(), name);
         assert_eq!(ia.budget(), budget);
         assert!(!ia.is_trial_based());
-    }
-
-    #[test]
-    fn mode_override_rewrites_the_trajectory_mode() {
-        let ctx = BuildCtx::new(SpeedPreset::Test, 1).mode(TrajectoryMode::MeanLast(10));
-        let ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(ctx);
-        assert_eq!(ia.name(), "DBAbandit-m");
-        // SWIRL has no trajectory mode; the override is ignored.
-        let swirl = AdvisorKind::Swirl.build_with(ctx);
-        assert_eq!(swirl.name(), "SWIRL");
     }
 
     #[test]

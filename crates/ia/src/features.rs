@@ -8,7 +8,7 @@
 //! All cost and statistics access goes through the [`CostBackend`] seam,
 //! so features are identical no matter which backend answers.
 
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{workload_benefit, CostBackend, CostResult};
 use pipa_sim::{ColumnId, Index, IndexConfig, Workload};
 
 /// Normalized frequency of each column in sargable filter predicates
@@ -42,7 +42,7 @@ pub fn single_column_benefit(
     col: ColumnId,
 ) -> CostResult<f64> {
     let cfg = IndexConfig::from_indexes([Index::single(col)]);
-    CostEngine::new(cost).workload_benefit(w, &cfg)
+    workload_benefit(cost, w, &cfg)
 }
 
 /// 0/1 bitmap of which columns lead an index in the current config.

@@ -101,15 +101,13 @@ impl AdvisorSpec {
         }
     }
 
-    /// Construct with the context's preset/seed in place of the spec's
-    /// own, and the context's mode override (when set) winning over the
-    /// spec's mode. This is how grid/stream/fleet runners stamp per-cell
+    /// Construct with the context's preset and seed in place of the
+    /// spec's own. This is how grid/stream/fleet runners stamp per-cell
     /// seeds onto a shared spec.
     pub fn build_with(&self, ctx: BuildCtx) -> Result<Box<dyn ClearBoxAdvisor>, UnknownTarget> {
         let mut resolved = self.clone();
         resolved.preset = ctx.preset;
         resolved.seed = ctx.seed;
-        resolved.mode = ctx.mode_override.or(self.mode);
         resolved.build()
     }
 }

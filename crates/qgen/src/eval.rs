@@ -14,7 +14,7 @@
 
 use crate::baselines::QueryGenerator;
 use crate::corpus::label_indexes;
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{query_benefit, CostBackend, CostResult};
 use pipa_sim::{ColumnId, Index, IndexConfig};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -82,8 +82,7 @@ pub fn is_plausible_index(cost: &dyn CostBackend, c: ColumnId) -> CostResult<boo
         .aggregate(Aggregate::CountStar)
         .build(cat.schema)
         .expect("probe query");
-    let benefit =
-        CostEngine::new(cost).query_benefit(&q, &IndexConfig::from_indexes([Index::single(c)]))?;
+    let benefit = query_benefit(cost, &q, &IndexConfig::from_indexes([Index::single(c)]))?;
     Ok(benefit > 0.2)
 }
 
@@ -109,7 +108,6 @@ pub fn evaluate_generator<G: QueryGenerator + ?Sized, R: RngCore>(
     k: usize,
     rng: &mut R,
 ) -> CostResult<GenQuality> {
-    let engine = CostEngine::new(cost);
     let mut correct = 0usize;
     let mut iac_sum = 0.0;
     let mut sq_err_sum = 0.0;
@@ -131,7 +129,7 @@ pub fn evaluate_generator<G: QueryGenerator + ?Sized, R: RngCore>(
         iac_sum += overlap as f64 / k as f64;
         // RMSE: achieved benefit under recommended indexes vs requested.
         let cfg: IndexConfig = rec.into_iter().map(Index::single).collect();
-        let achieved = engine.query_benefit(&q, &cfg)?.clamp(0.0, 1.0);
+        let achieved = query_benefit(cost, &q, &cfg)?.clamp(0.0, 1.0);
         sq_err_sum += (achieved - reward) * (achieved - reward);
         // Distinct: unique-token ratio of the rendered SQL.
         distinct_sum += distinct_ratio(&cost.render_sql(&q)?);

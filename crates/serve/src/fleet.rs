@@ -22,7 +22,7 @@ use crate::report::{Degraded, FleetReport, FleetRun, FleetTiming, SessionReport,
 use crate::scheduler::{panic_message, run_tenants};
 use crate::spec::{BackendSpec, FleetSpec, SessionRequest, TenantSpec};
 use pipa_core::experiment::{make_injector, normal_workload, CellConfig};
-use pipa_core::harness::StressTest;
+use pipa_core::harness::{index_names, StressTest};
 use pipa_core::runner::{par_map, CellSeed};
 use pipa_cost::{
     CostBackend, CostResult, LearnedIndexBackend, LearnedIndexConfig, RecordingBackend,
@@ -233,9 +233,7 @@ fn exec_session(
             let c = cost
                 .workload_cost(workload, &recommended)
                 .map_err(|e| e.to_string())?;
-            let schema = cost.catalog().schema;
-            let indexes: Vec<String> =
-                recommended.indexes().iter().map(|i| i.name(schema)).collect();
+            let indexes = index_names(cost, &recommended);
             Ok(SessionReport::Recommend { indexes, cost: c })
         }
         SessionRequest::Stress {

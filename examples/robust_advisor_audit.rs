@@ -21,7 +21,6 @@ fn main() {
     let mut cfg = CellConfig::quick(Benchmark::TpcH);
     cfg.preset = SpeedPreset::Quick;
     let cost = build_db(&cfg);
-    let engine = pipa::cost::CostEngine::new(&cost);
     let runs = 3u64;
 
     println!("Robustness audit — TPC-H, {} runs per advisor\n", runs);
@@ -42,9 +41,13 @@ fn main() {
                 .expect("stress test against the simulator backend");
             // Clean benefit: how much the advisor's baseline config
             // improves the workload over no indexes.
-            let base = engine
-                .measured_workload_cost(&normal, &pipa::sim::IndexConfig::empty(), false)
-                .expect("workload cost");
+            let base = pipa::cost::measured_workload_cost(
+                &cost,
+                &normal,
+                &pipa::sim::IndexConfig::empty(),
+                false,
+            )
+            .expect("workload cost");
             benefits.push(1.0 - out.baseline_cost / base);
             ads.push(out.ad);
         }

@@ -135,13 +135,30 @@ echo "== scale bench smoke =="
 # smoke mode skips the committed artifact.
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
+echo "== artifact reproduction =="
+# Two committed figure artifacts are regenerated from scratch and must
+# match results/ byte for byte: fig8 (default arguments) runs its cells
+# through StressTest::attack, and the defense ablation (--runs 4) runs
+# every arm through StressTest::defense. A drift here means a static
+# cell changed behaviour.
+REPRO_DIR="$(mktemp -d)"
+cargo run --release -q -p pipa-bench --bin fig8_local_optimum -- \
+    --out "$REPRO_DIR" >/dev/null 2>&1
+cmp "$REPRO_DIR/fig8_local_optimum.json" results/fig8_local_optimum.json
+cargo run --release -q -p pipa-bench --bin ablation_defense -- \
+    --runs 4 --out "$REPRO_DIR" >/dev/null 2>&1
+cmp "$REPRO_DIR/ablation_defense.json" results/ablation_defense.json
+rm -rf "$REPRO_DIR"
+
 echo "== doc-link lint =="
 # Prose docs must not reference cost entry points that no longer exist:
 # the PR-5/PR-6 unification removed the matrix_* pair (dispatch is
 # internal to estimated_*) and JoinCoupled no longer covers plain joins;
 # the per-(query, config) what-if cost cache and its enable/capacity
-# knobs are gone (the benefit matrix is the only what-if memo layer).
-if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)' \
+# knobs are gone (the benefit matrix is the only what-if memo layer);
+# the CostEngine facade became three free functions in pipa-cost, and
+# the hand-written canary pipeline became StressTest::defense.
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)|stress_with_canary|CostEngine' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale cost entry-point references found above" >&2
     exit 1

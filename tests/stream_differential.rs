@@ -4,12 +4,15 @@
 //! retrain, after all traffic has arrived) and zero drift
 //! ([`DriftSchedule::Static`]) performs the exact victim-path call
 //! sequence of [`StressTest`] — train, recommend, measure, build the
-//! injection, retrain on clean ∪ injection, recommend, measure. These
-//! tests pin the two reports bit-identical, through JSON serialization.
+//! injection, retrain on clean ∪ injection, recommend, measure — under
+//! the same [`DefensePolicy`]. These tests pin the two reports
+//! bit-identical, through JSON serialization, together with what the
+//! defense did (rollback, screened queries).
 
+use pipa::core::defense::DefensePolicy;
 use pipa::core::experiment::{build_db, make_injector, normal_workload, CellConfig, InjectorKind};
-use pipa::core::harness::StressTest;
-use pipa::core::stream::{run_stream, AttackerStrategy, Cadence, DefensePolicy, StreamSpec};
+use pipa::core::harness::{Attack, StressTest};
+use pipa::core::stream::{run_stream, AttackerStrategy, Cadence, StreamSpec};
 use pipa::core::{derive_seed, CellSeed};
 use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
 use pipa::workload::{Benchmark, DriftSchedule};
@@ -23,27 +26,32 @@ fn cfg() -> CellConfig {
 }
 
 /// The differential spec: one attack window, no drift, one end-of-stream
-/// retrain, no defense, full budget in the single strike.
-fn static_equivalent_spec(injector: InjectorKind, budget: usize) -> StreamSpec {
+/// retrain, full budget in the single strike.
+fn static_equivalent_spec(
+    injector: InjectorKind,
+    budget: usize,
+    defense: DefensePolicy,
+) -> StreamSpec {
     StreamSpec {
         windows: 1,
         drift: DriftSchedule::Static,
         cadence: Cadence::EndOnly,
         attacker: AttackerStrategy::Spread(injector),
         budget,
-        defense: DefensePolicy::None,
+        defense,
     }
 }
 
 /// Run the equivalent static cell: same workload (the stream's zero-drift
-/// window), same advisor build seed, and the stream's window-1 attack
-/// seed (`derive_seed(cell_seed, 1)`) for the injector.
-fn static_outcome(
+/// window), same advisor build seed, the stream's window-1 attack seed
+/// (`derive_seed(cell_seed, 1)`) for the injector, and the same defense.
+fn static_attack(
     cfg: &CellConfig,
     cost: &pipa::cost::SimBackend,
     injector: InjectorKind,
     cell_seed: CellSeed,
-) -> pipa::core::StressOutcome {
+    defense: DefensePolicy,
+) -> Attack {
     let normal = normal_workload(cfg, cell_seed.get());
     let attack_seed = CellSeed::raw(derive_seed(cell_seed.get(), 1));
     let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
@@ -53,17 +61,33 @@ fn static_outcome(
         .injection_size(cfg.injection_size)
         .actual_cost(false)
         .seed(attack_seed)
-        .run(advisor.as_mut(), inj.as_mut())
+        .defense(defense)
+        .attack(advisor.as_mut(), inj.as_mut())
         .expect("static pipeline runs")
 }
 
 #[test]
 fn no_drift_end_only_stream_is_bit_identical_to_the_static_pipeline() {
     let cfg = cfg();
-    for (injector, root) in [(InjectorKind::Pipa, 77u64), (InjectorKind::Tp, 78u64)] {
+    let provenance = DefensePolicy::Provenance {
+        max_novel_fraction: 0.5,
+        history: 1,
+    };
+    let canary = |tolerance| DefensePolicy::Canary { tolerance };
+    // A tolerance of -1.0 rolls every update back (cost_after > 0 >=
+    // cost_before * 0), so both branches of the shared retrain compare.
+    for (injector, root, defense) in [
+        (InjectorKind::Pipa, 77u64, DefensePolicy::None),
+        (InjectorKind::Tp, 78, DefensePolicy::None),
+        (InjectorKind::Pipa, 77, canary(0.02)),
+        (InjectorKind::Pipa, 79, canary(-1.0)),
+        (InjectorKind::Pipa, 77, provenance),
+        (InjectorKind::Tp, 78, provenance),
+    ] {
+        let case = format!("{injector:?} under {defense:?}");
         let cell_seed = CellSeed::derive(root, 0);
         let cost = build_db(&cfg);
-        let spec = static_equivalent_spec(injector, cfg.injection_size);
+        let spec = static_equivalent_spec(injector, cfg.injection_size, defense);
         let stream = run_stream(
             &cost,
             &cfg,
@@ -72,21 +96,35 @@ fn no_drift_end_only_stream_is_bit_identical_to_the_static_pipeline() {
             cell_seed,
         )
         .expect("stream runs");
-        let projected = stream.as_stress_outcome().expect("attacked stream projects");
+        let projected = stream
+            .as_stress_outcome()
+            .expect("attacked stream projects");
 
         // Fresh database for the static side so memoization warmth can't
         // mask (or cause) a difference.
         let cost = build_db(&cfg);
-        let expected = static_outcome(&cfg, &cost, injector, cell_seed);
+        let expected = static_attack(&cfg, &cost, injector, cell_seed, defense);
 
         // Bit-exact on every field (StressOutcome's PartialEq compares
         // the f64 costs exactly), and byte-identical as JSON — the form
-        // the results artifacts take.
-        assert_eq!(projected, expected, "stream/static drifted for {injector:?}");
+        // the results artifacts take — with the same defense actions.
+        assert_eq!(projected, expected.outcome, "drifted: {case}");
         assert_eq!(
             serde_json::to_string_pretty(&projected).unwrap(),
-            serde_json::to_string_pretty(&expected).unwrap(),
+            serde_json::to_string_pretty(&expected.outcome).unwrap(),
         );
+        let rolled_back = stream.windows[0].rolled_back;
+        assert_eq!(rolled_back, expected.rolled_back, "{case}");
+        assert_eq!(stream.total_screened, expected.screened_out, "{case}");
+        match defense {
+            DefensePolicy::Canary { tolerance } if tolerance < 0.0 => {
+                assert!(expected.rolled_back, "{case}")
+            }
+            DefensePolicy::Provenance { .. } if injector == InjectorKind::Pipa => {
+                assert!(expected.screened_out > 0, "{case}: PIPA trips the screen")
+            }
+            _ => {}
+        }
     }
 }
 
@@ -98,7 +136,7 @@ fn the_differential_cell_reports_the_static_call_shape() {
     let cfg = cfg();
     let cost = build_db(&cfg);
     let cell_seed = CellSeed::derive(77, 0);
-    let spec = static_equivalent_spec(InjectorKind::Pipa, cfg.injection_size);
+    let spec = static_equivalent_spec(InjectorKind::Pipa, cfg.injection_size, DefensePolicy::None);
     let stream = run_stream(
         &cost,
         &cfg,
