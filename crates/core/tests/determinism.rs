@@ -21,6 +21,8 @@ fn small_spec() -> (CellConfig, GridSpec) {
         vec![
             AdvisorKind::DbaBandit(TrajectoryMode::Best),
             AdvisorKind::Swirl,
+            AdvisorKind::Dqn(TrajectoryMode::MeanLast(10)),
+            AdvisorKind::DrlIndex(TrajectoryMode::MeanLast(10)),
         ],
         vec![InjectorKind::Fsm, InjectorKind::Pipa],
         1,

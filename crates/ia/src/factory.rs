@@ -14,8 +14,6 @@
 
 use crate::advisor::{AdvisorKind, ClearBoxAdvisor};
 use crate::bandit::BanditConfig;
-use crate::dqn::DqnConfig;
-use crate::drlindex::DrlIndexConfig;
 use crate::registry::AdvisorSpec;
 use crate::swirl::SwirlConfig;
 
@@ -31,34 +29,6 @@ pub enum SpeedPreset {
 }
 
 impl SpeedPreset {
-    pub(crate) fn dqn(self, seed: u64) -> DqnConfig {
-        let mut c = match self {
-            SpeedPreset::Paper => DqnConfig::default(),
-            SpeedPreset::Quick => DqnConfig {
-                train_trajectories: 100,
-                trial_trajectories: 40,
-                ..DqnConfig::default()
-            },
-            SpeedPreset::Test => DqnConfig::fast(),
-        };
-        c.seed = seed;
-        c
-    }
-
-    pub(crate) fn drl(self, seed: u64) -> DrlIndexConfig {
-        let mut c = match self {
-            SpeedPreset::Paper => DrlIndexConfig::default(),
-            SpeedPreset::Quick => DrlIndexConfig {
-                train_trajectories: 250,
-                trial_trajectories: 40,
-                ..DrlIndexConfig::default()
-            },
-            SpeedPreset::Test => DrlIndexConfig::fast(),
-        };
-        c.seed = seed;
-        c
-    }
-
     pub(crate) fn bandit(self, seed: u64) -> BanditConfig {
         let mut c = match self {
             SpeedPreset::Paper => BanditConfig::default(),

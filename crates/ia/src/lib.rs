@@ -4,10 +4,11 @@
 //! paper stress-tests, behind one opaque-box [`advisor::IndexAdvisor`]
 //! trait:
 //!
-//! * [`dqn::DqnAdvisor`] — Deep Q-Network with heuristic candidate
-//!   filtering and trial-based inference;
-//! * [`drlindex::DrlIndexAdvisor`] — DQN over a sparse query×column state
-//!   with the over-sensitive `1/cost` reward;
+//! * [`qlearn::QAdvisor`] — the deep-Q learner behind two of them, as
+//!   two configurations of one trajectory / replay / TD-target core:
+//!   [`dqn`] (Deep Q-Network with heuristic candidate filtering and
+//!   trial-based inference) and [`drlindex`] (DQN over a sparse
+//!   query×column state with the over-sensitive `1/cost` reward);
 //! * [`bandit::BanditAdvisor`] — C²UCB combinatorial bandit with the
 //!   arm-update trigger;
 //! * [`swirl::SwirlAdvisor`] — PPO-style policy with invalid-action
@@ -37,18 +38,18 @@ pub mod features;
 pub mod heuristic;
 pub mod incontext;
 pub mod instrument;
+pub mod qlearn;
 pub mod registry;
 pub mod swirl;
 
 pub use advisor::{AdvisorKind, ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
 pub use bandit::{BanditAdvisor, BanditConfig};
-pub use dqn::{DqnAdvisor, DqnConfig};
-pub use drlindex::{DrlIndexAdvisor, DrlIndexConfig};
 pub use env::IndexEnv;
 pub use factory::{BuildCtx, SpeedPreset};
 pub use heuristic::{AutoAdminGreedy, DropHeuristic};
 pub use incontext::{InContextAdvisor, InContextConfig};
 pub use instrument::Instrumented;
+pub use qlearn::{QAdvisor, QConfig, QDesign};
 pub use registry::{
     register_target, registered_ids, AdvisorSpec, TargetEntry, TargetRegistry, UnknownTarget,
 };

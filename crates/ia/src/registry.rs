@@ -23,11 +23,10 @@ use serde::{Serialize, Value};
 
 use crate::advisor::{AdvisorKind, ClearBoxAdvisor, TrajectoryMode};
 use crate::bandit::BanditAdvisor;
-use crate::dqn::DqnAdvisor;
-use crate::drlindex::DrlIndexAdvisor;
 use crate::factory::{BuildCtx, SpeedPreset};
 use crate::incontext::{InContextAdvisor, InContextConfig};
 use crate::instrument::Instrumented;
+use crate::qlearn::{QAdvisor, QConfig};
 use crate::swirl::SwirlAdvisor;
 
 /// A serializable description of one poisoning target: which registered
@@ -292,9 +291,9 @@ fn builtins() -> BTreeMap<String, TargetEntry> {
         TargetEntry::new(
             |spec| format!("DQN-{}", mode_of(spec).suffix()),
             |spec| {
-                Box::new(Instrumented::new(DqnAdvisor::new(
+                Box::new(Instrumented::new(QAdvisor::new(
                     mode_of(spec),
-                    spec.preset.dqn(spec.seed),
+                    QConfig::dqn(spec.preset, spec.seed),
                 )))
             },
         ),
@@ -304,9 +303,9 @@ fn builtins() -> BTreeMap<String, TargetEntry> {
         TargetEntry::new(
             |spec| format!("DRLindex-{}", mode_of(spec).suffix()),
             |spec| {
-                Box::new(Instrumented::new(DrlIndexAdvisor::new(
+                Box::new(Instrumented::new(QAdvisor::new(
                     mode_of(spec),
-                    spec.preset.drl(spec.seed),
+                    QConfig::drlindex(spec.preset, spec.seed),
                 )))
             },
         ),

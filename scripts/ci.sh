@@ -136,18 +136,29 @@ echo "== scale bench smoke =="
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
 echo "== artifact reproduction =="
-# Two committed figure artifacts are regenerated from scratch and must
-# match results/ byte for byte: fig8 (default arguments) runs its cells
-# through StressTest::attack, and the defense ablation (--runs 4) runs
-# every arm through StressTest::defense. A drift here means a static
-# cell changed behaviour.
+# The cheap committed figure artifacts are regenerated from scratch with
+# their committed arguments and must match results/ byte for byte: fig8
+# (default arguments) runs its cells through StressTest::attack, the
+# defense ablation (--runs 4) runs every arm through StressTest::defense,
+# and table1 is the only cheap one that runs the -m variants of both
+# deep-Q advisors and the P-C injector (which reads column_preferences). A
+# drift here means a static cell changed behaviour. Artifact bytes do
+# not depend on --jobs, so table1 (the slowest) runs on two workers.
 REPRO_DIR="$(mktemp -d)"
-cargo run --release -q -p pipa-bench --bin fig8_local_optimum -- \
-    --out "$REPRO_DIR" >/dev/null 2>&1
-cmp "$REPRO_DIR/fig8_local_optimum.json" results/fig8_local_optimum.json
-cargo run --release -q -p pipa-bench --bin ablation_defense -- \
-    --runs 4 --out "$REPRO_DIR" >/dev/null 2>&1
-cmp "$REPRO_DIR/ablation_defense.json" results/ablation_defense.json
+repro() {
+    local bin="$1" artifact="$2"
+    shift 2
+    cargo run --release -q -p pipa-bench --bin "$bin" -- \
+        "$@" --out "$REPRO_DIR" >/dev/null 2>&1
+    cmp "$REPRO_DIR/$artifact" "results/$artifact"
+}
+repro fig8_local_optimum fig8_local_optimum.json
+repro ablation_defense ablation_defense.json --runs 4
+repro fig1_motivation fig1_motivation.json --runs 5
+repro fig10_boundaries fig10_boundaries.json --runs 5
+repro fig12_alpha_beta fig12_alpha_beta.json --runs 3
+repro ablation_design ablation_design.json --runs 5
+repro table1_rd table1_rd_tpch.json --runs 5 --jobs 2
 rm -rf "$REPRO_DIR"
 
 echo "== doc-link lint =="
@@ -156,9 +167,10 @@ echo "== doc-link lint =="
 # internal to estimated_*) and JoinCoupled no longer covers plain joins;
 # the per-(query, config) what-if cost cache and its enable/capacity
 # knobs are gone (the benefit matrix is the only what-if memo layer);
-# the CostEngine facade became three free functions in pipa-cost, and
-# the hand-written canary pipeline became StressTest::defense.
-if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)|stress_with_canary|CostEngine' \
+# the CostEngine facade became three free functions in pipa-cost, the
+# hand-written canary pipeline became StressTest::defense, and the two
+# deep-Q advisors became QAdvisor configurations (QConfig::{dqn,drlindex}).
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)|stress_with_canary|CostEngine|DqnConfig|DrlIndexConfig|DqnAdvisor|DrlIndexAdvisor' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale cost entry-point references found above" >&2
     exit 1

@@ -15,20 +15,19 @@
 //! kernel mode, so it cannot share a test process with anything that
 //! dispatches matmuls concurrently.
 
-use pipa::ia::{DrlIndexAdvisor, DrlIndexConfig, IndexAdvisor, Instrumented, TrajectoryMode};
+use pipa::ia::{IndexAdvisor, Instrumented, QAdvisor, QConfig, SpeedPreset, TrajectoryMode};
 use pipa::nn::{kernel_mode, set_kernel_mode, KernelMode};
 use pipa::obs::{record_cell, CellCtx};
 use pipa::workload::Benchmark;
 use rand::SeedableRng;
 
-fn nn_heavy_cfg() -> DrlIndexConfig {
-    DrlIndexConfig {
+fn nn_heavy_cfg() -> QConfig {
+    QConfig {
         hidden: 256,
         batch_size: 32,
         train_trajectories: 25,
         trial_trajectories: 10,
-        seed: 7,
-        ..DrlIndexConfig::default()
+        ..QConfig::drlindex(SpeedPreset::Paper, 7)
     }
 }
 
@@ -46,7 +45,7 @@ fn retrain_run(mode: KernelMode, cell: u64) -> (Vec<f64>, u64) {
     let w = g
         .normal(&mut rand_chacha::ChaCha8Rng::seed_from_u64(5))
         .unwrap();
-    let mut ia = Instrumented::new(DrlIndexAdvisor::new(TrajectoryMode::Best, nn_heavy_cfg()));
+    let mut ia = Instrumented::new(QAdvisor::new(TrajectoryMode::Best, nn_heavy_cfg()));
     ia.train(&db, &w).expect("train");
     let (rewards, trace) = record_cell(true, CellCtx::new(cell), || {
         ia.retrain(&db, &w).expect("retrain");
