@@ -24,6 +24,7 @@
 //! `results/BENCH_serve.json`. `SERVE_BENCH_SMOKE=1` shrinks every
 //! dimension and skips the artifact write (CI smoke).
 
+use pipa_ia::SpeedPreset;
 use pipa_obs::TraceOutputs;
 use pipa_serve::{BackendSpec, FleetSpec, SessionRequest, TenantSpec};
 use pipa_workload::Benchmark;
@@ -42,6 +43,7 @@ struct Medians {
 struct BenchArtifact {
     id: String,
     description: String,
+    provenance: pipa_bench::cli::Provenance,
     /// Roster size of the big (latency/QPS) fleet.
     tenants: usize,
     /// Sessions completed by the big fleet (the >= 1000 floor).
@@ -162,9 +164,9 @@ fn main() {
         0.0
     };
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // Every roster tenant runs the `TenantSpec` default preset.
+    let provenance = pipa_bench::cli::provenance(SpeedPreset::Test);
+    let cores = provenance.cores;
     println!("\ncores available: {cores}");
     println!(
         "big fleet: {big_tenants} tenants, {sessions_total} sessions, {whatif_evals_total} what-if evals"
@@ -182,6 +184,7 @@ fn main() {
                       fleet for p50/p99 session latency and aggregate what-if QPS, \
                       bit-identical across worker counts"
             .to_string(),
+        provenance,
         tenants: big_tenants,
         sessions_total,
         whatif_evals_total,

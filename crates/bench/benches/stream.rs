@@ -79,6 +79,7 @@ struct DefenseColumn {
 struct BenchArtifact {
     id: String,
     description: String,
+    provenance: pipa_bench::cli::Provenance,
     advisor: String,
     windows_per_stream: usize,
     budget_per_window: usize,
@@ -321,6 +322,7 @@ fn main() {
                       curves, defense recall, steady-state what-if QPS, bit-identical \
                       across --jobs"
             .to_string(),
+        provenance: pipa_bench::cli::provenance(cfg.preset),
         advisor: reference.advisor.clone(),
         windows_per_stream: windows,
         budget_per_window: budget,

@@ -94,6 +94,7 @@ struct StreamRow {
 struct BenchArtifact {
     id: String,
     description: String,
+    provenance: pipa_bench::cli::Provenance,
     /// Every kind id the global target registry knows at bench time.
     registered_kinds: Vec<String>,
     runs: usize,
@@ -396,6 +397,7 @@ fn main() {
                       through the stress pipeline and the streaming arms race, \
                       vs. the DQN baseline; bit-identical across worker counts"
             .to_string(),
+        provenance: pipa_bench::cli::provenance(cfg.preset),
         registered_kinds: registered_ids(),
         runs: runs as usize,
         injector: "pipa".to_string(),

@@ -20,8 +20,9 @@
 //! * [`experiment`] — shared plumbing for the per-figure binaries,
 //!   including the [`experiment::GridSpec`] advisor × injector × run
 //!   grid API;
-//! * [`runner`] — deterministic parallel cell execution ([`par_map`],
-//!   [`runner::CellSeed`] SplitMix64 seed derivation);
+//! * [`runner`] — the one deterministic executor: grid cells
+//!   ([`par_map`]) and fleet tenants ([`runner::run_tenants`]) on one
+//!   work queue, plus [`runner::CellSeed`] SplitMix64 seed derivation;
 //! * [`report`] — console tables and JSON artifacts.
 //!
 //! Every stage reports through the `pipa-obs` observability layer

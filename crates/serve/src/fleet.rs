@@ -2,36 +2,28 @@
 //!
 //! [`FleetSpec::run`] builds one runtime per tenant (schema statistics,
 //! advisor, backend, workload — all derived from the tenant's own seed),
-//! drives the queued sessions through the
-//! [`scheduler`](crate::scheduler), and assembles the deterministic
+//! drives the queued sessions through the runner's work queue
+//! ([`run_tenants_traced`]), and assembles the deterministic
 //! [`FleetReport`] next to the wall-clock [`FleetTiming`].
 //!
-//! Observability: each session runs inside a `pipa-obs` recording scope
-//! whose context names the tenant and session index. The buffered cell
-//! traces are flushed **in (tenant, session) order** after the run —
-//! never in completion order — so the merged fleet trace is
-//! byte-identical across worker counts, exactly like the experiment
-//! runner's per-cell stream. That includes the trace of a session that
-//! degraded its tenant — by returning `Err` *or by panicking*: the
-//! session body runs under `catch_unwind` **inside** the recording
-//! scope, so the events recorded before an unwind are flushed as the
-//! degraded session's trace right after the tenant's completed
-//! sessions, instead of being discarded with the unwound buffer.
+//! Observability: each session records under a context naming the
+//! tenant and session index, and the runner flushes the traces in
+//! (tenant, session) order — a degraded session's partial trace, panics
+//! included, right after its tenant's completed sessions — so the merged
+//! fleet trace is byte-identical across worker counts.
 
 use crate::report::{Degraded, FleetReport, FleetRun, FleetTiming, SessionReport, TenantReport};
-use crate::scheduler::{panic_message, run_tenants};
 use crate::spec::{BackendSpec, FleetSpec, SessionRequest, TenantSpec};
 use pipa_core::experiment::{make_injector, normal_workload, CellConfig};
 use pipa_core::harness::{index_names, StressTest};
-use pipa_core::runner::{par_map, CellSeed};
+use pipa_core::runner::{par_map, run_tenants_traced, CellSeed};
 use pipa_cost::{
     CostBackend, CostResult, LearnedIndexBackend, LearnedIndexConfig, RecordingBackend,
     ReplayBackend, SimBackend, Tape,
 };
 use pipa_ia::{BuildCtx, ClearBoxAdvisor, IndexAdvisor, UnknownTarget};
-use pipa_obs::{record_cell, CellCtx, CellTrace, Event, TraceOutputs};
+use pipa_obs::{CellCtx, Event, TraceOutputs};
 use pipa_sim::{Index, IndexConfig, Workload};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A materialized tenant: owned state the scheduler migrates between
@@ -46,11 +38,6 @@ struct TenantRuntime {
     backend: OwnedBackend,
     workload: Workload,
     sessions: Vec<SessionRequest>,
-    /// Trace of the session that degraded this tenant, if any. The
-    /// scheduler only carries the error string back, so the events the
-    /// failing session recorded before erroring ride home here and are
-    /// flushed after the tenant's completed sessions.
-    failed_trace: Option<CellTrace>,
 }
 
 /// The tenant's cost backend, owned. Sessions only ever see it as
@@ -156,7 +143,6 @@ fn materialize(spec: &TenantSpec, seed: CellSeed) -> TenantRuntime {
         backend,
         workload,
         sessions: spec.sessions.clone(),
-        failed_trace: None,
     }
 }
 
@@ -185,7 +171,7 @@ fn whatif_configs(w: &Workload, n: usize) -> Vec<IndexConfig> {
 
 /// Run one session against the tenant's backend-as-a-seam. Every failure
 /// comes back as a rendered `CostError` string; panics are the
-/// scheduler's department.
+/// runner's department.
 fn exec_session(
     request: &SessionRequest,
     cost: &dyn CostBackend,
@@ -256,97 +242,40 @@ fn exec_session(
     }
 }
 
-/// One scheduler step: session `s` of a tenant, inside its recording
-/// scope. Recording-backend tenants stack a fresh [`RecordingBackend`]
-/// per session and merge the captured tape into the tenant's.
-///
-/// On a failure the trace still survives — it is parked on the runtime
-/// (`failed_trace`) because the scheduler's error channel only carries
-/// the string. That holds for *panics* too: the session body runs under
-/// `catch_unwind` inside the recording scope, so `record_cell` returns
-/// normally with the buffer recorded up to the unwind, and the payload
-/// degrades the tenant as `session panicked: …` — the same rendering
-/// the scheduler's outer backstop (which stays in place for panics
-/// outside the session body) would produce.
-fn run_session(
-    rt: &mut TenantRuntime,
-    s: usize,
-    trace_active: bool,
-) -> Result<(SessionReport, CellTrace), String> {
-    let request = rt.sessions[s].clone();
+/// Session `s` of a tenant. Recording-backend tenants stack a fresh
+/// [`RecordingBackend`] per session and merge the captured tape into the
+/// tenant's.
+fn run_session(rt: &mut TenantRuntime, s: usize) -> Result<SessionReport, String> {
+    pipa_obs::phase("session");
     let session_seed = CellSeed::derive(rt.seed.get(), s as u64);
-    let ctx = CellCtx::new(rt.seed.get())
-        .field("tenant", rt.name.clone())
-        .field("session", s);
-    let TenantRuntime {
-        advisor,
-        backend,
-        workload,
-        cfg,
-        ..
-    } = rt;
-    let (result, trace) = record_cell(trace_active, ctx, || {
-        pipa_obs::phase("session");
-        let body = catch_unwind(AssertUnwindSafe(|| match backend {
-            OwnedBackend::Sim(sim) => {
-                exec_session(&request, &*sim, advisor.as_mut(), workload, cfg, session_seed)
-            }
-            OwnedBackend::Recording(sim, tape) => {
-                let recorder = RecordingBackend::new(&*sim);
-                let r = exec_session(
-                    &request,
-                    &recorder,
-                    advisor.as_mut(),
-                    workload,
-                    cfg,
-                    session_seed,
-                );
-                tape.merge(recorder.tape());
-                r
-            }
-            OwnedBackend::Replay(replay) => exec_session(
-                &request,
-                &*replay,
-                advisor.as_mut(),
-                workload,
-                cfg,
-                session_seed,
-            ),
-            OwnedBackend::Learned(learned) => exec_session(
-                &request,
-                &*learned,
-                advisor.as_mut(),
-                workload,
-                cfg,
-                session_seed,
-            ),
-        }));
-        // Catching here — inside the recording scope — is what keeps a
-        // panicking session's partial trace: record_cell returns
-        // normally and the unwound buffer rides the normal Err path.
-        body.unwrap_or_else(|payload| Err(panic_message(payload)))
-    });
-    match result {
-        Ok(report) => Ok((report, trace)),
-        Err(e) => {
-            rt.failed_trace = Some(trace);
-            Err(e)
+    let (request, advisor, workload, cfg) =
+        (&rt.sessions[s], &mut rt.advisor, &rt.workload, &rt.cfg);
+    let mut exec = |cost: &dyn CostBackend| {
+        exec_session(request, cost, advisor.as_mut(), workload, cfg, session_seed)
+    };
+    match &mut rt.backend {
+        OwnedBackend::Sim(sim) => exec(&*sim),
+        OwnedBackend::Recording(sim, tape) => {
+            let recorder = RecordingBackend::new(&*sim);
+            let r = exec(&recorder);
+            tape.merge(recorder.tape());
+            r
         }
+        OwnedBackend::Replay(replay) => exec(&*replay),
+        OwnedBackend::Learned(learned) => exec(&*learned),
     }
 }
 
 impl FleetSpec {
     /// Materialize and run the fleet.
     ///
-    /// Tenants are built in parallel (each from its own derived seed),
-    /// their sessions are driven by the work-stealing scheduler under
-    /// the spec's worker bound, and the per-session traces are flushed
-    /// to `out` in (tenant, session) order. The returned
-    /// [`FleetRun::report`] is a pure function of the spec: any two runs
-    /// — at any worker counts — agree on it bit for bit.
+    /// Tenants are built in parallel (each from its own derived seed) and
+    /// their sessions run on the runner's work queue under the spec's
+    /// worker bound, which flushes the session traces to `out` in
+    /// (tenant, session) order. [`FleetRun::report`] is a pure function
+    /// of the spec: runs at any worker counts agree on it bit for bit.
     pub fn run(&self, out: &TraceOutputs) -> FleetRun {
         let started = Instant::now();
-        let trace_active = out.active();
         let seeds: Vec<CellSeed> = (0..self.tenants.len())
             .map(|i| CellSeed::derive(self.root_seed, i as u64))
             .collect();
@@ -356,35 +285,30 @@ impl FleetSpec {
             |_, (spec, &seed)| materialize(spec, seed),
         );
         let session_counts: Vec<usize> = runtimes.iter().map(|rt| rt.sessions.len()).collect();
-        let (runtimes, outcomes) = run_tenants(
+        let (runtimes, outcomes) = run_tenants_traced(
             self.workers,
             runtimes,
             &session_counts,
-            |rt: &mut TenantRuntime, s| run_session(rt, s, trace_active),
+            out,
+            |rt: &TenantRuntime, s| {
+                CellCtx::new(rt.seed.get())
+                    .field("tenant", rt.name.clone())
+                    .field("session", s)
+            },
+            run_session,
         );
 
         let mut tenants = Vec::with_capacity(runtimes.len());
         let mut tapes = Vec::with_capacity(runtimes.len());
         let mut session_nanos = Vec::new();
         for (rt, outcome) in runtimes.into_iter().zip(outcomes) {
-            let mut sessions = Vec::with_capacity(outcome.results.len());
-            for (report, trace) in outcome.results {
-                out.write_cell(&trace);
-                sessions.push(report);
-            }
-            // The degraded session (if any) comes right after the
-            // completed ones, so the merged stream stays in (tenant,
-            // session) order even for tenants that failed partway.
-            if let Some(trace) = &rt.failed_trace {
-                out.write_cell(trace);
-            }
             session_nanos.extend(outcome.session_nanos);
             tenants.push(TenantReport {
                 tenant: rt.name,
                 advisor: rt.advisor_label,
                 backend: rt.backend_label.to_string(),
                 seed: rt.seed.get(),
-                sessions,
+                sessions: outcome.results,
                 degraded: outcome
                     .degraded
                     .map(|(session, error)| Degraded { session, error }),

@@ -5,9 +5,9 @@
 //! [`AdvisorSpec`](pipa_ia::AdvisorSpec) resolved through the target
 //! registry, so custom registered kinds serve alongside the built-ins),
 //! and cost backend (simulator, recording, replay tape, or learned-index
-//! models) — driven through a work-stealing session scheduler inside one
-//! process, all cost access behind the object-safe `dyn CostBackend`
-//! seam.
+//! models) — driven through `pipa-core`'s runner (the work queue that
+//! also runs the experiment grids) inside one process, all cost access
+//! behind the object-safe `dyn CostBackend` seam.
 //!
 //! The public surface is a typed request/response vocabulary:
 //!
@@ -39,8 +39,8 @@
 //! SplitMix64 scheme; tenants share no mutable state; sessions of one
 //! tenant run serially in request order on whatever worker claims them.
 //! So every [`FleetReport`] value — and the merged `pipa-obs` trace,
-//! flushed in (tenant, session) order — is a pure function of the
-//! [`FleetSpec`], regardless of worker count.
+//! which the runner flushes in (tenant, session) order — is a pure
+//! function of the [`FleetSpec`], regardless of worker count.
 //!
 //! ## Failure isolation
 //!

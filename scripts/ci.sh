@@ -31,6 +31,18 @@ if grep -rnE 'estimated_(query|workload)_cost|scalar_(query|workload)_cost|what_
     exit 1
 fi
 
+echo "== one-executor lint =="
+# Parallel work runs on pipa-core's runner (one work queue, one panic
+# policy, one trace-flush order). The only other thread site is the NN
+# kernels' intra-matmul row partition, which splits one product rather
+# than scheduling work. A new thread::scope / thread::spawn anywhere else
+# would be a second executor.
+if grep -rnE 'thread::(scope|spawn)' crates/*/src \
+        | grep -vE '^crates/(core/src/runner\.rs|nn/src/kernels\.rs):'; then
+    echo "executor lint: thread sites outside the runner found above (use pipa_core::runner)" >&2
+    exit 1
+fi
+
 echo "== target-registry coverage lint =="
 # Every built-in kind id registered in crates/ia/src/registry.rs must be
 # exercised by the every-kind construction test fixture in the same
@@ -169,8 +181,10 @@ echo "== doc-link lint =="
 # knobs are gone (the benefit matrix is the only what-if memo layer);
 # the CostEngine facade became three free functions in pipa-cost, the
 # hand-written canary pipeline became StressTest::defense, and the two
-# deep-Q advisors became QAdvisor configurations (QConfig::{dqn,drlindex}).
-if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)|stress_with_canary|CostEngine|DqnConfig|DrlIndexConfig|DqnAdvisor|DrlIndexAdvisor' \
+# deep-Q advisors became QAdvisor configurations (QConfig::{dqn,drlindex}),
+# and the fleet scheduler became pipa_core::runner's work queue (the
+# pipa_serve::scheduler module is only a re-export).
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_(enabled|capacity)|stress_with_canary|CostEngine|DqnConfig|DrlIndexConfig|DqnAdvisor|DrlIndexAdvisor|pipa_serve::scheduler' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale cost entry-point references found above" >&2
     exit 1

@@ -541,7 +541,14 @@ fn regenerated_bench_artifacts_record_their_provenance() {
     // Each of these artifacts names the commit, core count, advisor
     // preset and date it was measured at, so a reader can tell a stale
     // number from a fresh one without the git history.
-    for name in ["BENCH_runner", "BENCH_scale", "BENCH_whatif"] {
+    for name in [
+        "BENCH_runner",
+        "BENCH_scale",
+        "BENCH_whatif",
+        "BENCH_serve",
+        "BENCH_targets",
+        "BENCH_stream",
+    ] {
         let path = results_dir().join(format!("{name}.json"));
         let text = fs::read_to_string(&path).unwrap_or_else(|_| panic!("{name}.json is committed"));
         let keys = top_level_keys(&text).unwrap();
