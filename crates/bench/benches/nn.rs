@@ -17,7 +17,13 @@
 //!   forward, and a pooled (reused) tape under the blocked kernels;
 //! * `nn/decode_{naive,fast}` — an IABART-shaped transformer generating
 //!   `T` tokens: full encoder–decoder re-run per token
-//!   (`next_token_logits`) versus the KV-cached `DecodeSession`.
+//!   (`next_token_logits`) versus the KV-cached `DecodeSession`;
+//! * `retrain_speedup` — end to end: one DRLindex `retrain` (hidden 256,
+//!   batch 32, on TPC-H) under `KernelMode::Naive` versus
+//!   `KernelMode::BlockedParallel`, two interleaved runs per mode, best
+//!   of each. The reward traces must match bit for bit (the tier-1 twin
+//!   is `tests/nn_train_speedup.rs`); `tests/results_schema.rs` floors
+//!   the committed speedup above 1.
 //!
 //! Every fast path is bit-identical to its naive counterpart (proven by
 //! `tests/nn_kernel_differential.rs` and the in-crate unit tests; this
@@ -25,10 +31,13 @@
 //! comparison is pure speed.
 //!
 //! A custom `main` (`harness = false`) re-reads the criterion JSON lines
-//! and writes `results/BENCH_nn.json` with medians, speedups, and the
-//! `pipa-nn` kernel counters. `NN_BENCH_SMOKE=1` shrinks every dimension
-//! and skips the artifact write (CI smoke).
+//! and writes `results/BENCH_nn.json` with medians, speedups, the
+//! `pipa-nn` kernel counters (taken before the retrain leg) and the
+//! measurement's provenance. `NN_BENCH_SMOKE=1` shrinks every criterion
+//! cell's dimensions and skips the artifact write (CI smoke).
 
+use pipa_cost::SimBackend;
+use pipa_ia::{IndexAdvisor, QAdvisor, QConfig, SpeedPreset, TrajectoryMode};
 use pipa_nn::kernels::{self, matmul_t_with_mode, matmul_with_mode};
 use pipa_nn::mlp::Activation;
 use pipa_nn::{
@@ -39,6 +48,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::hint::black_box;
+use std::time::Instant;
 
 #[derive(Serialize)]
 struct Medians {
@@ -81,7 +91,49 @@ struct BenchArtifact {
     matmul_t_speedup: Option<f64>,
     mlp_train_speedup: Option<f64>,
     decode_speedup: Option<f64>,
+    retrain_ns: RetrainNanos,
+    retrain_speedup: f64,
     kernel_counters: KernelCounters,
+    provenance: pipa_bench::cli::Provenance,
+}
+
+#[derive(Serialize)]
+struct RetrainNanos {
+    naive: u64,
+    fast: u64,
+}
+
+/// The retrain leg's advisor: DRLindex widened (hidden 256, batch 32) so
+/// the retrain is dominated by kernel work. It takes a few seconds, so
+/// smoke runs keep it at full size.
+fn nn_heavy_cfg() -> QConfig {
+    QConfig {
+        hidden: 256,
+        batch_size: 32,
+        train_trajectories: 25,
+        trial_trajectories: 10,
+        ..QConfig::drlindex(SpeedPreset::Paper, 7)
+    }
+}
+
+/// Train a fresh seeded DRLindex advisor, then time its retrain under
+/// `mode`; returns the retrain's reward trace and wall-clock nanos.
+fn retrain_run(mode: KernelMode) -> (Vec<f64>, u64) {
+    set_kernel_mode(mode);
+    let db = SimBackend::new(pipa_workload::Benchmark::TpcH.database(1.0, None));
+    let g = pipa_workload::WorkloadGenerator::new(
+        pipa_workload::Benchmark::TpcH.schema(),
+        pipa_workload::Benchmark::TpcH.default_templates(),
+    );
+    let w = g
+        .normal(&mut ChaCha8Rng::seed_from_u64(5))
+        .expect("workload");
+    let mut ia = QAdvisor::new(TrajectoryMode::Best, nn_heavy_cfg());
+    ia.train(&db, &w).expect("train");
+    let t0 = Instant::now();
+    ia.retrain(&db, &w).expect("retrain");
+    let nanos = t0.elapsed().as_nanos() as u64;
+    (ia.reward_trace().to_vec(), nanos)
 }
 
 /// Deterministic pseudo-random fill (no rng stream dependency).
@@ -269,8 +321,28 @@ fn main() {
         })
     });
 
-    // --- artifact ------------------------------------------------------
+    // Counters cover the criterion cells only, not the retrain leg.
     let stats = kernels::stats();
+
+    // --- end-to-end retrain, naive vs fast kernels --------------------
+    // Interleaved, two runs per mode; the minima keep one scheduler
+    // hiccup from flipping the comparison.
+    let (naive_a, t_na) = retrain_run(KernelMode::Naive);
+    let (fast_a, t_fa) = retrain_run(KernelMode::BlockedParallel);
+    let (naive_b, t_nb) = retrain_run(KernelMode::Naive);
+    let (fast_b, t_fb) = retrain_run(KernelMode::BlockedParallel);
+    set_kernel_mode(KernelMode::BlockedParallel);
+    assert!(
+        naive_a == naive_b && fast_a == fast_b && naive_a == fast_a,
+        "kernel mode must not change the retrain reward trace"
+    );
+    let retrain_ns = RetrainNanos {
+        naive: t_na.min(t_nb),
+        fast: t_fa.min(t_fb),
+    };
+    let retrain_speedup = retrain_ns.naive as f64 / retrain_ns.fast as f64;
+
+    // --- artifact ------------------------------------------------------
     let lines = bench.lines();
     let med = |id: &str| pipa_bench::cli::median_of(&lines, id);
     let ratio = pipa_bench::cli::ratio;
@@ -297,23 +369,21 @@ fn main() {
         ("matmul_t blocked", matmul_t_speedup),
         ("MLP train step  ", mlp_train_speedup),
         ("decode step     ", decode_speedup),
+        ("DRLindex retrain", Some(retrain_speedup)),
     ] {
         if let Some(s) = s {
             println!("{label}: speedup {s:.2}x");
         }
     }
 
-    if smoke {
-        // Dimensions were shrunk; the artifact write below is a no-op in
-        // smoke mode, but the counters/printout above already ran.
-    }
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let artifact = BenchArtifact {
         id: "BENCH_nn".to_string(),
         description: "blocked/parallel NN kernels, pooled tapes, batched DQN targets, and \
-                      KV-cached transformer decoding vs the naive seed paths (all fast paths \
+                      KV-cached transformer decoding vs the naive seed paths, and one DRLindex \
+                      retrain under naive vs blocked/parallel kernels (all fast paths \
                       bit-identical to naive; see tests/nn_kernel_differential.rs)"
             .to_string(),
         threads,
@@ -330,11 +400,14 @@ fn main() {
         matmul_t_speedup,
         mlp_train_speedup,
         decode_speedup,
+        retrain_ns,
+        retrain_speedup,
         kernel_counters: KernelCounters {
             matmuls: stats.matmuls,
             flops: stats.flops,
             buf_reuses: stats.buf_reuses,
         },
+        provenance: pipa_bench::cli::provenance(SpeedPreset::Paper),
     };
     bench.write_artifact(&artifact);
 }

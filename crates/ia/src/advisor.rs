@@ -54,6 +54,13 @@ pub trait IndexAdvisor: Send {
     /// Recommend an index configuration for a workload. Trial-based
     /// advisors run trial trajectories here; one-off advisors predict
     /// directly.
+    ///
+    /// A recommendation is an observation, not a training signal: it
+    /// writes no state that a later `train`, `retrain`, `recommend` or
+    /// [`ClearBoxAdvisor::column_preferences`] reads, so the result is a
+    /// pure function of (advisor state, workload). Trial-based advisors
+    /// run their trials on a scratch copy of themselves; only
+    /// [`IndexAdvisor::reward_trace`] keeps the trials' rewards.
     fn recommend(&mut self, cost: &dyn CostBackend, workload: &Workload) -> CostResult<IndexConfig>;
 
     /// Index-count budget `B`.
@@ -64,8 +71,9 @@ pub trait IndexAdvisor: Send {
     /// robustness (paper §6.2 "trial-based vs one-off").
     fn is_trial_based(&self) -> bool;
 
-    /// Reward trace of the most recent training/retraining run, one entry
-    /// per trajectory (used to reproduce Figure 8's learning curves).
+    /// Reward trace of the most recent run, one entry per trajectory:
+    /// the last `train`/`retrain`, or the last `recommend`'s trials when
+    /// that came later (Figure 8's learning curves and inference trace).
     fn reward_trace(&self) -> &[f64] {
         &[]
     }

@@ -73,6 +73,7 @@ impl BanditConfig {
 const FEAT_DIM: usize = 5;
 
 /// The DBABandit advisor.
+#[derive(Clone)]
 pub struct BanditAdvisor {
     cfg: BanditConfig,
     mode: TrajectoryMode,
@@ -292,24 +293,19 @@ impl IndexAdvisor for BanditAdvisor {
         cost: &dyn CostBackend,
         workload: &Workload,
     ) -> CostResult<IndexConfig> {
-        if self.arms.is_empty() {
-            self.regenerate_arms(cost, workload)?;
+        // Trials run on a scratch copy, so they cannot change the advisor;
+        // only their reward trace is kept (Figure 8's inference trace).
+        let mut trial = self.clone();
+        if trial.arms.is_empty() {
+            trial.regenerate_arms(cost, workload)?;
         }
-        // Trials: run rounds on a cloned state so inference is ephemeral.
-        let saved = (
-            self.a_mat.clone(),
-            self.b_vec.clone(),
-            self.arms.clone(),
-            self.arm_stats.clone(),
-            self.total_pulls,
-        );
-        self.run(cost, workload, self.cfg.trial_rounds)?;
+        trial.run(cost, workload, trial.cfg.trial_rounds)?;
         let result = match self.mode {
-            TrajectoryMode::Best => self.best_round.1.clone(),
+            TrajectoryMode::Best => trial.best_round.1.clone(),
             TrajectoryMode::MeanLast(k) => {
                 // Average θ over the last k rounds as the tie-breaking
                 // prior, then pick the top-B arms by blended score.
-                let snaps: Vec<&Vec<f64>> = self.theta_snaps.iter().rev().take(k.max(1)).collect();
+                let snaps: Vec<&Vec<f64>> = trial.theta_snaps.iter().rev().take(k.max(1)).collect();
                 let mut theta = vec![0.0; FEAT_DIM];
                 for s in &snaps {
                     for (t, &v) in theta.iter_mut().zip(s.iter()) {
@@ -319,12 +315,12 @@ impl IndexAdvisor for BanditAdvisor {
                 for t in &mut theta {
                     *t /= snaps.len() as f64;
                 }
-                let mut scored: Vec<(f64, ColumnId)> = self
+                let mut scored: Vec<(f64, ColumnId)> = trial
                     .arms
                     .iter()
                     .map(|&c| {
                         let x = Self::arm_features(cost, workload, c)?;
-                        let (sum, n) = self.arm_stats.get(&c).copied().unwrap_or((0.0, 0));
+                        let (sum, n) = trial.arm_stats.get(&c).copied().unwrap_or((0.0, 0));
                         let mean = if n > 0 {
                             sum / f64::from(n)
                         } else {
@@ -341,11 +337,7 @@ impl IndexAdvisor for BanditAdvisor {
                     .collect()
             }
         };
-        self.a_mat = saved.0;
-        self.b_vec = saved.1;
-        self.arms = saved.2;
-        self.arm_stats = saved.3;
-        self.total_pulls = saved.4;
+        self.reward_trace = trial.reward_trace;
         Ok(result)
     }
 

@@ -144,6 +144,7 @@ enum Phase {
 }
 
 /// The deep-Q advisor (DQN or DRLindex, by [`QConfig::design`]).
+#[derive(Clone)]
 pub struct QAdvisor {
     cfg: QConfig,
     mode: TrajectoryMode,
@@ -450,34 +451,31 @@ impl IndexAdvisor for QAdvisor {
         cost: &dyn CostBackend,
         workload: &Workload,
     ) -> CostResult<IndexConfig> {
-        self.ensure_net(cost);
-        if self.candidates.is_empty() {
-            self.candidates = workload.candidate_columns();
+        // Trials run on a scratch copy, so they cannot change the advisor;
+        // only their reward trace is kept (Figure 8's inference trace).
+        let mut trial = self.clone();
+        trial.ensure_net(cost);
+        if trial.candidates.is_empty() {
+            trial.candidates = workload.candidate_columns();
         }
-        // Trials must not permanently change the advisor: save and restore
-        // the online net, the replay buffer and DQN's target net.
-        let saved = self.store.as_ref().expect("store").snapshot();
-        let saved_replay = self.replay.clone();
-        let saved_target = self.target.clone();
-        let (best_config, params) = self.run_trajectories(cost, workload, Phase::Trial)?;
+        let (best_config, params) = trial.run_trajectories(cost, workload, Phase::Trial)?;
         let result = match self.mode {
             TrajectoryMode::Best => best_config,
             TrajectoryMode::MeanLast(_) => {
                 // Greedily decode under the mean trial parameters.
-                let mut store = self.store.as_ref().expect("store").clone();
-                store.restore(&params);
-                let env = IndexEnv::new(cost, workload, self.candidates.clone(), self.cfg.budget)?;
+                trial.store.as_mut().expect("store").restore(&params);
+                let store = trial.store.as_ref().expect("store");
+                let env =
+                    IndexEnv::new(cost, workload, trial.candidates.clone(), trial.cfg.budget)?;
                 let ep = env.greedy_rollout(|ep, a| {
-                    let state = self.state_vec(cost, &self.last_encoding, &ep.config);
-                    let q = self.q_values(&store, &state);
+                    let state = trial.state_vec(cost, &trial.last_encoding, &ep.config);
+                    let q = trial.q_values(store, &state);
                     f64::from(q[env.candidates[a].0 as usize])
                 })?;
                 ep.config
             }
         };
-        self.store.as_mut().expect("store").restore(&saved);
-        self.replay = saved_replay;
-        self.target = saved_target;
+        self.reward_trace = trial.reward_trace;
         Ok(result)
     }
 

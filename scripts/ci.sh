@@ -62,7 +62,9 @@ done
 echo "== target-registry acceptance suite =="
 # A toy advisor registered from an integration test must run the full
 # stress pipeline and serve a fleet tenant with zero edits to core/
-# serve/bench match sites (the open-seam guarantee).
+# serve/bench match sites (the open-seam guarantee), and every registered
+# kind must keep recommend pure: a probe between train and retrain
+# leaves the retrained advisor bit-identical.
 cargo test -q -p pipa --test target_registry
 
 echo "== cost-backend differential suite =="
@@ -153,9 +155,11 @@ echo "== artifact reproduction =="
 # (default arguments) runs its cells through StressTest::attack, the
 # defense ablation (--runs 4) runs every arm through StressTest::defense,
 # and table1 is the only cheap one that runs the -m variants of both
-# deep-Q advisors and the P-C injector (which reads column_preferences). A
-# drift here means a static cell changed behaviour. Artifact bytes do
-# not depend on --jobs, so table1 (the slowest) runs on two workers.
+# deep-Q advisors and the P-C injector (which reads column_preferences),
+# and fig11 runs every cell through up to 16 probe epochs, so a probe
+# that leaks into the victim's retrain shows there. A drift here means a
+# static cell changed behaviour. Artifact bytes do not depend on --jobs,
+# so table1 (the slowest) runs on two workers.
 REPRO_DIR="$(mktemp -d)"
 repro() {
     local bin="$1" artifact="$2"
@@ -171,6 +175,7 @@ repro fig10_boundaries fig10_boundaries.json --runs 5
 repro fig12_alpha_beta fig12_alpha_beta.json --runs 3
 repro ablation_design ablation_design.json --runs 5
 repro table1_rd table1_rd_tpch.json --runs 5 --jobs 2
+repro fig11_probing_epochs fig11_probing_epochs_tpch.json --runs 4
 rm -rf "$REPRO_DIR"
 
 echo "== doc-link lint =="

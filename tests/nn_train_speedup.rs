@@ -3,21 +3,19 @@
 //! and under [`KernelMode::BlockedParallel`] must produce exactly the
 //! same reward trajectory (`f64` equality — the advisor's decisions are
 //! a deterministic function of seeded rng + kernel arithmetic, and the
-//! kernels are bit-identical), while the instrumented `advisor_retrain`
-//! timing shrinks.
+//! kernels are bit-identical).
 //!
 //! The config widens the Q-network (hidden 256, batch 32) so the
-//! retrain is dominated by kernel work: at `SpeedPreset::Test` scale
-//! the mode delta sits inside a 1-CPU box's scheduler noise, which
-//! would make a strict timing assertion flaky.
+//! retrain runs the blocked kernels on real work. The time side of the
+//! same comparison is measured by `crates/bench/benches/nn.rs` and
+//! reported as `retrain_speedup` in `results/BENCH_nn.json`.
 //!
 //! This is the only test in this binary: it flips the process-global
 //! kernel mode, so it cannot share a test process with anything that
 //! dispatches matmuls concurrently.
 
-use pipa::ia::{IndexAdvisor, Instrumented, QAdvisor, QConfig, SpeedPreset, TrajectoryMode};
+use pipa::ia::{IndexAdvisor, QAdvisor, QConfig, SpeedPreset, TrajectoryMode};
 use pipa::nn::{kernel_mode, set_kernel_mode, KernelMode};
-use pipa::obs::{record_cell, CellCtx};
 use pipa::workload::Benchmark;
 use rand::SeedableRng;
 
@@ -31,11 +29,9 @@ fn nn_heavy_cfg() -> QConfig {
     }
 }
 
-/// Train a fresh seeded DRLindex advisor, then retrain it under
-/// recording; returns the post-retrain reward trace and the
-/// `advisor_retrain` wall-clock nanos parsed from the recorded metrics
-/// channel.
-fn retrain_run(mode: KernelMode, cell: u64) -> (Vec<f64>, u64) {
+/// Train a fresh seeded DRLindex advisor, then retrain it; returns the
+/// post-retrain reward trace.
+fn retrain_run(mode: KernelMode) -> Vec<f64> {
     set_kernel_mode(mode);
     let db = pipa::cost::SimBackend::new(Benchmark::TpcH.database(1.0, None));
     let g = pipa::workload::generator::WorkloadGenerator::new(
@@ -45,38 +41,19 @@ fn retrain_run(mode: KernelMode, cell: u64) -> (Vec<f64>, u64) {
     let w = g
         .normal(&mut rand_chacha::ChaCha8Rng::seed_from_u64(5))
         .unwrap();
-    let mut ia = Instrumented::new(QAdvisor::new(TrajectoryMode::Best, nn_heavy_cfg()));
+    let mut ia = QAdvisor::new(TrajectoryMode::Best, nn_heavy_cfg());
     ia.train(&db, &w).expect("train");
-    let (rewards, trace) = record_cell(true, CellCtx::new(cell), || {
-        ia.retrain(&db, &w).expect("retrain");
-        ia.reward_trace().to_vec()
-    });
-    let line = trace
-        .metrics
-        .iter()
-        .find(|l| l.contains("\"event\":\"timing\"") && l.contains("\"name\":\"advisor_retrain\""))
-        .expect("retrain under recording must emit an advisor_retrain timing");
-    let nanos: u64 = line
-        .split("\"nanos\":")
-        .nth(1)
-        .expect("timing line carries nanos")
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("nanos is an integer");
-    (rewards, nanos)
+    ia.retrain(&db, &w).expect("retrain");
+    ia.reward_trace().to_vec()
 }
 
 #[test]
-fn fast_kernels_shrink_retrain_time_without_changing_rewards() {
+fn fast_kernels_leave_the_retrain_reward_trace_unchanged() {
     let initial = kernel_mode();
-    // Interleaved, two runs per mode; compare the minima so a single
-    // scheduler hiccup can't flip the timing comparison.
-    let (naive_a, t_na) = retrain_run(KernelMode::Naive, 101);
-    let (fast_a, t_fa) = retrain_run(KernelMode::BlockedParallel, 102);
-    let (naive_b, t_nb) = retrain_run(KernelMode::Naive, 103);
-    let (fast_b, t_fb) = retrain_run(KernelMode::BlockedParallel, 104);
+    let naive_a = retrain_run(KernelMode::Naive);
+    let fast_a = retrain_run(KernelMode::BlockedParallel);
+    let naive_b = retrain_run(KernelMode::Naive);
+    let fast_b = retrain_run(KernelMode::BlockedParallel);
     set_kernel_mode(initial);
 
     // Determinism within a mode (same seeds, same arithmetic)…
@@ -89,11 +66,4 @@ fn fast_kernels_shrink_retrain_time_without_changing_rewards() {
         "kernel mode must not change the reward trajectory"
     );
     assert!(!naive_a.is_empty(), "retrain must extend the reward trace");
-
-    let naive_ns = t_na.min(t_nb);
-    let fast_ns = t_fa.min(t_fb);
-    assert!(
-        fast_ns < naive_ns,
-        "blocked/parallel retrain ({fast_ns} ns) should beat naive ({naive_ns} ns)"
-    );
 }

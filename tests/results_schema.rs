@@ -104,6 +104,8 @@ fn bench_nn_artifact_meets_the_kernel_acceptance_floor() {
         "matmul_t_speedup",
         "mlp_train_speedup",
         "decode_speedup",
+        "retrain_ns",
+        "retrain_speedup",
         "kernel_counters",
     ] {
         assert!(
@@ -141,6 +143,13 @@ fn bench_nn_artifact_meets_the_kernel_acceptance_floor() {
         let v = num_field(&text, sp);
         assert!(v.is_finite() && v >= 2.0, "{sp} = {v} should be >= 2.0");
     }
+    // A whole DRLindex retrain must run faster on the blocked/parallel
+    // kernels than on the naive ones.
+    let v = num_field(&text, "retrain_speedup");
+    assert!(
+        v.is_finite() && v > 1.0,
+        "retrain_speedup = {v} should exceed 1.0"
+    );
     for counter in ["matmuls", "flops", "buf_reuses"] {
         let v = num_field(&text, counter);
         assert!(v > 0.0, "kernel_counters.{counter} = {v} should be > 0");
@@ -542,6 +551,7 @@ fn regenerated_bench_artifacts_record_their_provenance() {
     // preset and date it was measured at, so a reader can tell a stale
     // number from a fresh one without the git history.
     for name in [
+        "BENCH_nn",
         "BENCH_runner",
         "BENCH_scale",
         "BENCH_whatif",

@@ -14,7 +14,7 @@ use pipa_core::CellSeed;
 use pipa_cost::{CostBackend, CostError, CostResult};
 use pipa_ia::{
     register_target, registered_ids, AdvisorSpec, AutoAdminGreedy, ClearBoxAdvisor, IndexAdvisor,
-    SpeedPreset,
+    SpeedPreset, TrajectoryMode,
 };
 use pipa_serve::{FleetSpec, SessionRequest, TenantSpec};
 use pipa_sim::{ColumnId, IndexConfig, Workload};
@@ -149,4 +149,60 @@ fn an_unknown_kind_is_a_typed_error_from_the_spec() {
     assert!(err.registered.contains(&"dqn".to_string()));
     let cost: CostError = err.into();
     assert!(format!("{cost}").contains("definitely-not-registered"));
+}
+
+/// The trial-isolation contract every registered kind inherits: a
+/// `recommend` is an observation of the advisor, never a training signal.
+/// A probe between train and retrain leaves the retrained advisor
+/// bit-identical, and `recommend` itself is repeatable.
+#[test]
+fn recommend_leaves_no_trace_in_any_registered_kind() {
+    let cfg = cfg();
+    let cost = build_db(&cfg);
+    let w = normal_workload(&cfg, 3);
+    let probe = normal_workload(&cfg, 4);
+    let mut broken = Vec::new();
+    for kind in registered_ids() {
+        for mode in [TrajectoryMode::Best, TrajectoryMode::MeanLast(10)] {
+            let spec = AdvisorSpec::new(kind.as_str())
+                .preset(SpeedPreset::Test)
+                .seeded(3)
+                .mode(mode);
+            let label = spec.label();
+            // (column preferences, next recommendation) after a retrain on
+            // W, with or without a probe between train and retrain.
+            let after_retrain = |probed: bool| {
+                let mut ia = spec.build().expect("registered kind builds");
+                ia.train(&cost, &w).expect("train");
+                if probed {
+                    ia.recommend(&cost, &probe).expect("probe");
+                }
+                ia.retrain(&cost, &w).expect("retrain");
+                let prefs = format!("{:?}", ia.column_preferences(&cost));
+                let next = format!("{:?}", ia.recommend(&cost, &w).expect("recommend"));
+                (prefs, next)
+            };
+            let (clean_prefs, clean_next) = after_retrain(false);
+            let (probed_prefs, probed_next) = after_retrain(true);
+            if clean_prefs != probed_prefs {
+                broken.push(format!("{label}: a probe moved the retrained preferences"));
+            }
+            if clean_next != probed_next {
+                broken.push(format!("{label}: a probe moved the next recommendation"));
+            }
+
+            let mut ia = spec.build().expect("registered kind builds");
+            ia.train(&cost, &w).expect("train");
+            let first = format!("{:?}", ia.recommend(&cost, &w).expect("recommend"));
+            let second = format!("{:?}", ia.recommend(&cost, &w).expect("recommend"));
+            if first != second {
+                broken.push(format!("{label}: two recommend(W) calls disagree"));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "trial isolation broken:\n{}",
+        broken.join("\n")
+    );
 }
